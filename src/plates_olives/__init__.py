@@ -36,7 +36,6 @@ from .counting import (
     lift_young_walk,
     tangent_numbers,
     updown_numbers,
-    weighted_dyck_sum,
     weighted_dyck_sum_by_dp,
     weighted_dyck_sum_by_enumeration,
     young_closed_walks,
@@ -81,63 +80,3 @@ from .partitions import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "BoundReport",
-    "CeilingExceeded",
-    "DEFAULT_ORACLE_CEILING",
-    "DEFAULT_STATE_LIMIT",
-    "DyckPath",
-    "EMPTY",
-    "Game",
-    "GameStats",
-    "IllegalMove",
-    "InvalidWalk",
-    "Move",
-    "MoveKind",
-    "NotClosed",
-    "Partition",
-    "PartitionInterner",
-    "PlatesOlivesError",
-    "PrematureEmpty",
-    "RatioReport",
-    "ResourceLimit",
-    "SINGLE_PLATE",
-    "Skeleton",
-    "WalkCounter",
-    "apply_move",
-    "bound_table",
-    "catalan",
-    "count_closed_walks",
-    "count_closed_walks_through",
-    "count_games",
-    "count_games_through",
-    "count_proper_dyck_paths",
-    "count_young_walks",
-    "count_young_walks_through",
-    "count_zigzag_permutations",
-    "double_factorial",
-    "dyck_paths",
-    "enumerate_games",
-    "game_stats",
-    "geometric_class_reference",
-    "legal_moves",
-    "lift_young_walk",
-    "move_capacity_profile",
-    "nth_root_ratio",
-    "olive_dyck_path",
-    "parse_game",
-    "partitions_of_weight",
-    "partitions_up_to_weight",
-    "ratio_table",
-    "skeleton",
-    "stats_histogram",
-    "tangent_numbers",
-    "updown_numbers",
-    "validate_game",
-    "w_cap",
-    "weighted_dyck_sum",
-    "weighted_dyck_sum_by_dp",
-    "weighted_dyck_sum_by_enumeration",
-    "young_closed_walks",
-]

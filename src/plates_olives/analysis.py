@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .counting import count_games_through, double_factorial
+from .errors import PlatesOlivesError
 from .partitions import DEFAULT_STATE_LIMIT
 
 RATIO_PRECISION = 50
@@ -40,6 +41,18 @@ def nth_root_ratio(count: int, n: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = RATIO_PRECISION
         return (Decimal(count).ln() / n).exp() / n
+
+
+def _game_counts(max_n: int, counts: list[int] | None, max_states: int) -> list[int]:
+    """[M_0..M_max_n] for a table over n = 1..max_n: the caller's counts
+    when given (the cache path supplies them), else computed here."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+    if counts is None:
+        counts = count_games_through(max_n, max_states=max_states)
+    if len(counts) < max_n + 1:
+        raise ValueError("counts must cover n = 0..max_n")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -74,17 +87,8 @@ def ratio_table(
     counts: list[int] | None = None,
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> list[RatioReport]:
-    """RatioReports for n = 1..max_n from one counting pass.
-
-    ``counts`` can supply precomputed values [M_0..M_max_n] (the cache
-    path uses this); otherwise they are computed here.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if counts is None:
-        counts = count_games_through(max_n, max_states=max_states)
-    if len(counts) < max_n + 1:
-        raise ValueError("counts must cover n = 0..max_n")
+    """RatioReports for n = 1..max_n from one counting pass."""
+    counts = _game_counts(max_n, counts, max_states)
     with localcontext() as ctx:
         ctx.prec = RATIO_PRECISION
         e = Decimal(1).exp()
@@ -117,20 +121,16 @@ def bound_table(
     """BoundReports for n = 1..max_n.
 
     The double factorial (2n - 1)!! is a proven lower bound and is
-    checked here; the envelope columns (2/e)^n n^n, (4/e)^n n^n and the
-    crude 108^n n^n are reported for reading only.
+    checked here, and a count below it raises PlatesOlivesError; the
+    envelope columns (2/e)^n n^n, (4/e)^n n^n and the crude 108^n n^n are
+    reported for reading only.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if counts is None:
-        counts = count_games_through(max_n, max_states=max_states)
-    if len(counts) < max_n + 1:
-        raise ValueError("counts must cover n = 0..max_n")
+    counts = _game_counts(max_n, counts, max_states)
     out: list[BoundReport] = []
     for n in range(1, max_n + 1):
         lower = double_factorial(2 * n - 1)
         if counts[n] < lower:
-            raise AssertionError(
+            raise PlatesOlivesError(
                 f"count {counts[n]} at n={n} fell below the proven bound {lower}"
             )
         out.append(

@@ -142,17 +142,19 @@ def _resolve_counts(
 
 
 def _emit_rows(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[str]],
-    fmt: str,
-    json_records: Sequence[dict] | None,
-    out: IO[str],
+    headers: Sequence[str], records: Sequence[dict], fmt: str, out: IO[str]
 ) -> None:
+    """Write JSON-ready records in one format; table and CSV cells are the
+    header columns, with non-string values (n, flags) in their JSON form."""
     if fmt == "json":
-        assert json_records is not None
-        for record in json_records:
+        for record in records:
             out.write(json.dumps(record) + "\n")
         return
+
+    def cell(value: object) -> str:
+        return value if isinstance(value, str) else json.dumps(value)
+
+    rows = [[cell(record[h]) for h in headers] for record in records]
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
         for row in rows:
@@ -176,12 +178,11 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     counts = _resolve_counts(
         args.variant, args.max_n, args.max_states, _open_cache(args), args.self_check
     )
-    rows = [(str(n), str(c)) for n, c in enumerate(counts)]
     records = [
         {"n": n, "count": str(c), "variant": args.variant}
         for n, c in enumerate(counts)
     ]
-    _emit_rows(("n", "count"), rows, args.format, records, out)
+    _emit_rows(("n", "count"), records, args.format, out)
     return 0
 
 
@@ -225,18 +226,6 @@ def cmd_ratio(args: argparse.Namespace, out: IO[str]) -> int:
     counts = _resolve_counts(
         "first-return", args.max_n, args.max_states, _open_cache(args)
     )
-    table = analysis.ratio_table(args.max_n, counts=counts)
-    rows = [
-        (
-            str(r.n),
-            str(r.count),
-            _six(r.ratio),
-            _six(r.lower_envelope),
-            _six(r.upper_envelope),
-            str(r.monotone_violation).lower(),
-        )
-        for r in table
-    ]
     records = [
         {
             "n": r.n,
@@ -246,17 +235,9 @@ def cmd_ratio(args: argparse.Namespace, out: IO[str]) -> int:
             "upper_envelope": _six(r.upper_envelope),
             "monotone_violation": r.monotone_violation,
         }
-        for r in table
+        for r in analysis.ratio_table(args.max_n, counts=counts)
     ]
-    headers = (
-        "n",
-        "count",
-        "ratio",
-        "lower_envelope",
-        "upper_envelope",
-        "monotone_violation",
-    )
-    _emit_rows(headers, rows, args.format, records, out)
+    _emit_rows(list(records[0]), records, args.format, out)
     return 0
 
 
@@ -264,18 +245,6 @@ def cmd_bounds(args: argparse.Namespace, out: IO[str]) -> int:
     counts = _resolve_counts(
         "first-return", args.max_n, args.max_states, _open_cache(args)
     )
-    table = analysis.bound_table(args.max_n, counts=counts)
-    rows = [
-        (
-            str(r.n),
-            str(r.count),
-            str(r.double_factorial_lower),
-            _sci(r.envelope_lower),
-            _sci(r.envelope_upper),
-            str(r.crude_envelope),
-        )
-        for r in table
-    ]
     records = [
         {
             "n": r.n,
@@ -285,17 +254,9 @@ def cmd_bounds(args: argparse.Namespace, out: IO[str]) -> int:
             "envelope_upper": _sci(r.envelope_upper),
             "crude_envelope": str(r.crude_envelope),
         }
-        for r in table
+        for r in analysis.bound_table(args.max_n, counts=counts)
     ]
-    headers = (
-        "n",
-        "count",
-        "double_factorial_lower",
-        "envelope_lower",
-        "envelope_upper",
-        "crude_envelope",
-    )
-    _emit_rows(headers, rows, args.format, records, out)
+    _emit_rows(list(records[0]), records, args.format, out)
     return 0
 
 
@@ -371,10 +332,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except PlatesOlivesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PlatesOlivesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,8 +25,6 @@ from itertools import permutations
 from math import comb
 from typing import Iterator, Sequence
 
-from collections import Counter
-
 from .errors import InvalidWalk
 from .games import Game, validate_game
 from .partitions import (
@@ -36,6 +34,7 @@ from .partitions import (
     Move,
     MoveKind,
     Partition,
+    PartitionInterner,
     legal_moves,
 )
 
@@ -78,16 +77,14 @@ class WalkCounter:
         self.allow_interim_empty = allow_interim_empty
         self.prune = prune and end is not None
         if self.prune:
-            ew = end.weight
-            # heaviest weight any surviving layer can hold
-            self.max_weight = max(
-                min(start.weight + k, ew + total_steps - k)
-                for k in range(total_steps + 1)
+            # heaviest weight any surviving layer can hold: the maximum over
+            # k of _weight_cap(k), which peaks where the two caps cross
+            s, e = start.weight, end.weight
+            self.max_weight = min(
+                s + total_steps, e + total_steps, (s + e + total_steps) // 2
             )
         else:
             self.max_weight = start.weight + total_steps
-        from .partitions import PartitionInterner
-
         self._interner = PartitionInterner(self.max_weight, max_states=max_states)
         self._succ: dict[int, list[tuple[int, int]]] = {}
         self.step_index = 0
@@ -154,28 +151,41 @@ class WalkCounter:
         ]
 
 
+def _even_layer_counts(
+    start: Partition, semilength: int, max_states: int, **walk_options
+) -> list[int]:
+    """Walk counts from ``start`` back to itself at lengths 0, 2, ..., 2 *
+    ``semilength``, all out of one pass.
+
+    The weight prune for the longest walk keeps every state a shorter walk
+    could use, so the intermediate layers are read off exactly.
+    """
+    counter = WalkCounter(
+        start=start,
+        end=start,
+        total_steps=2 * semilength,
+        max_states=max_states,
+        **walk_options,
+    )
+    counts = [counter.count_of(start)]
+    for _ in range(semilength):
+        counter.advance()
+        counter.advance()
+        counts.append(counter.count_of(start))
+    return counts
+
+
 def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> list[int]:
     """Game counts for every n from 0 to ``max_n`` out of a single pass.
 
-    The count for n sits at layer 2n of the <1> to <1> walk; the weight
-    prune for the longest walk keeps every state a shorter walk could
-    use, so the intermediate layers are read off exactly.
+    The count for n sits at layer 2n of the <1> to <1> walk that never
+    touches the empty table.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    counter = WalkCounter(
-        start=SINGLE_PLATE,
-        end=SINGLE_PLATE,
-        total_steps=2 * max_n,
-        allow_interim_empty=False,
-        max_states=max_states,
+    return _even_layer_counts(
+        SINGLE_PLATE, max_n, max_states, allow_interim_empty=False
     )
-    counts = [counter.count_of(SINGLE_PLATE)]
-    for step in range(1, 2 * max_n + 1):
-        counter.advance()
-        if step % 2 == 0:
-            counts.append(counter.count_of(SINGLE_PLATE))
-    return counts
 
 
 def count_games(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -190,19 +200,9 @@ def count_closed_walks_through(
     empties allowed) for every n from 0 to ``max_n``."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    counter = WalkCounter(
-        start=EMPTY,
-        end=EMPTY,
-        total_steps=2 * max_n + 2,
-        allow_complex=allow_complex,
-        max_states=max_states,
-    )
-    counts = []
-    for step in range(1, 2 * max_n + 3):
-        counter.advance()
-        if step % 2 == 0:
-            counts.append(counter.count_of(EMPTY))
-    return counts
+    return _even_layer_counts(
+        EMPTY, max_n + 1, max_states, allow_complex=allow_complex
+    )[1:]
 
 
 def count_closed_walks(
@@ -225,19 +225,7 @@ def count_young_walks_through(
     out of one pass."""
     if max_semilength < 0:
         raise ValueError("max_semilength must be nonnegative")
-    counter = WalkCounter(
-        start=EMPTY,
-        end=EMPTY,
-        total_steps=2 * max_semilength,
-        allow_complex=False,
-        max_states=max_states,
-    )
-    counts = [counter.count_of(EMPTY)]
-    for step in range(1, 2 * max_semilength + 1):
-        counter.advance()
-        if step % 2 == 0:
-            counts.append(counter.count_of(EMPTY))
-    return counts
+    return _even_layer_counts(EMPTY, max_semilength, max_states, allow_complex=False)
 
 
 def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -245,14 +233,7 @@ def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int
     partition, i.e. single-box moves only.  Equals (length - 1)!!."""
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
-    counter = WalkCounter(
-        start=EMPTY,
-        end=EMPTY,
-        total_steps=length,
-        allow_complex=False,
-        max_states=max_states,
-    )
-    return counter.run()
+    return count_young_walks_through(length // 2, max_states=max_states)[-1]
 
 
 def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
@@ -278,24 +259,9 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
 
 def _single_box_move(before: Partition, after: Partition) -> Move:
     """The move taking ``before`` to ``after`` when they differ by one box."""
-    gained = Counter(after.parts) - Counter(before.parts)
-    lost = Counter(before.parts) - Counter(after.parts)
-    if sum(gained.values()) + sum(lost.values()) > 2:
-        raise InvalidWalk(f"{before} -> {after} is not a single-box step")
-    if not lost and list(gained.items()) == [(1, 1)]:
-        return Move(MoveKind.PLATE_ADD)
-    if not gained and list(lost.items()) == [(1, 1)]:
-        return Move(MoveKind.PLATE_REMOVE_SIMPLE)
-    if len(gained) == 1 and len(lost) == 1:
-        (g, gk), (l, lk) = gained.popitem(), lost.popitem()
-        if gk == lk == 1 and g == l + 1:
-            return (
-                Move(MoveKind.OLIVE_ADD_FIRST)
-                if l == 1
-                else Move(MoveKind.OLIVE_ADD_LATER, i=l - 1)
-            )
-        if gk == lk == 1 and g == l - 1 and g >= 1:
-            return Move(MoveKind.OLIVE_REMOVE, i=g)
+    for move, nxt in legal_moves(before, allow_complex=False):
+        if nxt == after:
+            return move
     raise InvalidWalk(f"{before} -> {after} is not a single-box step")
 
 
@@ -418,22 +384,6 @@ def weighted_dyck_sum_by_dp(v: int) -> int:
                 nxt[h - 1] += ways
         cur = nxt
     return cur[0]
-
-
-_ENUMERATION_CEILING = 12
-
-
-def weighted_dyck_sum(v: int) -> int:
-    """The height-weighted Dyck sum; equals (2v - 1)!!.
-
-    Small v goes through the literal path enumeration, larger v through
-    the equivalent dynamic program.
-    """
-    if v < 0:
-        raise ValueError("semilength must be nonnegative")
-    if v <= _ENUMERATION_CEILING:
-        return weighted_dyck_sum_by_enumeration(v)
-    return weighted_dyck_sum_by_dp(v)
 
 
 def updown_numbers(limit: int) -> list[int]:

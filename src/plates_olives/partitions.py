@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import IllegalMove, ResourceLimit
 
@@ -373,6 +373,3 @@ class PartitionInterner:
 
     def partition_of(self, state_id: int) -> Partition:
         return self._states[state_id]
-
-    def states(self) -> Iterable[Partition]:
-        return tuple(self._states)

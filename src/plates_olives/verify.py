@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from . import analysis, counting, games, partitions
+from .errors import PlatesOlivesError
 from .partitions import DEFAULT_STATE_LIMIT, MoveKind
 
 # The interim-returns closed-walk counts were once circulated as
@@ -238,7 +239,7 @@ def suite_bounds(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
     try:
         analysis.bound_table(18, counts=counts)
         _check(out, "bound-table-builds", True, "n <= 18")
-    except AssertionError as exc:
+    except PlatesOlivesError as exc:
         _check(out, "bound-table-builds", False, str(exc))
     return out
 

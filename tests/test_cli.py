@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from plates_olives.counting import count_games
 from plates_olives.games import parse_game
 
 GOLDEN_COUNT_TABLE = "n  count\n0      1\n1      2\n2     10\n3     76\n4    772\n"
+# SHA-256 of the full ``verify`` stdout, the same digest the benchmark pins
+VERIFY_ALL_DIGEST = "90cd3593a4ad40510ceb4806c32e65f08df3e238d96cefd225fb6f2b5db13394"
 
 
 def run(capsys, argv):
@@ -186,6 +189,7 @@ class TestVerifyCommand:
         assert lines[-1] == "OK: 0 failed"
         suites = {line.split("[", 1)[1].split("]")[0] for line in lines[:-1]}
         assert suites == {"paper-values", "identities", "oracle", "bounds", "claims"}
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -242,6 +246,17 @@ class TestCache:
         rc, out, _ = run(capsys, argv)
         assert rc == 0
         assert out.splitlines()[-1] == "3    999"
+
+    def test_bounds_reject_count_below_proven_bound(self, capsys, tmp_path):
+        cache = tmp_path / "counts.json"
+        run(capsys, ["count", "--max-n", "3", "--cache", str(cache)])
+        data = json.loads(cache.read_text())
+        data["counts"]["first-return"]["3"] = "1"
+        cache.write_text(json.dumps(data))
+        rc, out, err = run(capsys, ["bounds", "--max-n", "3", "--cache", str(cache)])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: count 1 at n=3 fell below the proven bound 15\n"
 
     def test_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"

@@ -21,7 +21,6 @@ from plates_olives.counting import (
     lift_young_walk,
     tangent_numbers,
     updown_numbers,
-    weighted_dyck_sum,
     weighted_dyck_sum_by_dp,
     weighted_dyck_sum_by_enumeration,
     young_closed_walks,
@@ -107,6 +106,9 @@ class TestGameCounts:
     def test_state_budget_enforced(self):
         with pytest.raises(ResourceLimit):
             count_games(10, max_states=20)
+        # a huge n must hit the budget at once, not loop over its length first
+        with pytest.raises(ResourceLimit):
+            count_games(10**8, max_states=20)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -138,6 +140,19 @@ class TestWalkCounter:
     def test_count_of_unseen_state(self):
         counter = WalkCounter(start=EMPTY, end=EMPTY, total_steps=2)
         assert counter.count_of(Partition((5,))) == 0
+
+    def test_max_weight_is_peak_layer_cap(self):
+        for s in range(6):
+            for e in range(6):
+                # with fewer than s - e steps the start is too heavy to reach the end
+                for steps in range(max(s - e, 0), 40):
+                    counter = WalkCounter(
+                        start=Partition((1,) * s),
+                        end=Partition((1,) * e),
+                        total_steps=steps,
+                    )
+                    peak = max(counter._weight_cap(k) for k in range(steps + 1))
+                    assert counter.max_weight == peak
 
 
 class TestClosedWalks:
@@ -263,10 +278,11 @@ class TestLiftYoungWalk:
 
 class TestWeightedDyckSum:
     def test_tiny_cases(self):
-        assert weighted_dyck_sum(0) == 1
-        assert weighted_dyck_sum(1) == 1
-        # semilength 2: UUDD weighs 1*2, UDUD weighs 1*1
-        assert weighted_dyck_sum(2) == 3
+        for route in (weighted_dyck_sum_by_enumeration, weighted_dyck_sum_by_dp):
+            assert route(0) == 1
+            assert route(1) == 1
+            # semilength 2: UUDD weighs 1*2, UDUD weighs 1*1
+            assert route(2) == 3
 
     def test_value_at_eight(self):
         assert weighted_dyck_sum_by_enumeration(8) == 2027025 == double_factorial(15)
@@ -278,10 +294,6 @@ class TestWeightedDyckSum:
     def test_double_factorial_identity_dp(self):
         for v in range(60):
             assert weighted_dyck_sum_by_dp(v) == double_factorial(2 * v - 1)
-
-    def test_crossover_dispatch(self):
-        assert weighted_dyck_sum(12) == double_factorial(23)
-        assert weighted_dyck_sum(13) == double_factorial(25)
 
     def test_path_generator(self):
         assert list(dyck_paths(0)) == [()]
