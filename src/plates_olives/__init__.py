@@ -70,7 +70,6 @@ from .partitions import (
     Move,
     MoveKind,
     Partition,
-    PartitionInterner,
     apply_move,
     legal_moves,
     move_capacity_profile,

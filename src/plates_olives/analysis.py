@@ -43,11 +43,16 @@ def nth_root_ratio(count: int, n: int) -> Decimal:
         return (Decimal(count).ln() / n).exp() / n
 
 
+def check_table_size(max_n: int) -> None:
+    """Reject a ratio or bound table with no rows, before any counting."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+
+
 def _game_counts(max_n: int, counts: list[int] | None, max_states: int) -> list[int]:
     """[M_0..M_max_n] for a table over n = 1..max_n: the caller's counts
     when given (the cache path supplies them), else computed here."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    check_table_size(max_n)
     if counts is None:
         counts = count_games_through(max_n, max_states=max_states)
     if len(counts) < max_n + 1:

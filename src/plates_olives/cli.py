@@ -223,6 +223,7 @@ def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace, out: IO[str]) -> int:
+    analysis.check_table_size(args.max_n)
     counts = _resolve_counts(
         "first-return", args.max_n, args.max_states, _open_cache(args)
     )
@@ -242,6 +243,7 @@ def cmd_ratio(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace, out: IO[str]) -> int:
+    analysis.check_table_size(args.max_n)
     counts = _resolve_counts(
         "first-return", args.max_n, args.max_states, _open_cache(args)
     )

@@ -25,7 +25,7 @@ from itertools import permutations
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import InvalidWalk
+from .errors import InvalidWalk, ResourceLimit
 from .games import Game, validate_game
 from .partitions import (
     DEFAULT_STATE_LIMIT,
@@ -34,7 +34,6 @@ from .partitions import (
     Move,
     MoveKind,
     Partition,
-    PartitionInterner,
     legal_moves,
 )
 
@@ -43,26 +42,31 @@ class WalkCounter:
     """Layer-by-layer walk counts on the move graph.
 
     The counter starts with mass 1 on ``start`` and each ``advance()``
-    pushes the whole layer through the legal moves.  Options:
+    pushes the whole layer through the legal moves.  States get ids in
+    first-seen order, so a deterministic caller gets deterministic ids.
+    Options:
 
-    ``end``
-        Intended endpoint; with ``prune=True`` states too heavy to reach
-        ``end`` in the remaining steps are discarded as they arise, which
-        keeps the live state set small without changing any count that
-        can still reach the endpoint in time.
+    ``prune``
+        With ``prune=True`` states too heavy to reach ``end`` in the
+        remaining steps are discarded as they arise, which keeps the live
+        state set small without changing any count that can still reach
+        the endpoint in time.
     ``allow_complex``
         When False the P-c moves are dropped and the graph becomes
         Young's lattice plus empty-plate bookkeeping.
     ``allow_interim_empty``
         When False the empty partition is forbidden except as the final
         state of the full walk (and then only when it is the endpoint).
+    ``max_states``
+        Turns runaway growth of the state table into a ResourceLimit
+        instead of memory exhaustion.
     """
 
     def __init__(
         self,
         start: Partition,
         total_steps: int,
-        end: Partition | None = None,
+        end: Partition,
         allow_complex: bool = True,
         allow_interim_empty: bool = True,
         prune: bool = True,
@@ -70,13 +74,16 @@ class WalkCounter:
     ) -> None:
         if total_steps < 0:
             raise ValueError("total_steps must be nonnegative")
+        if max_states < 1:
+            raise ValueError("max_states must be positive")
         self.start = start
         self.end = end
         self.total_steps = total_steps
         self.allow_complex = allow_complex
         self.allow_interim_empty = allow_interim_empty
-        self.prune = prune and end is not None
-        if self.prune:
+        self.prune = prune
+        self.max_states = max_states
+        if prune:
             # heaviest weight any surviving layer can hold: the maximum over
             # k of _weight_cap(k), which peaks where the two caps cross
             s, e = start.weight, end.weight
@@ -85,20 +92,34 @@ class WalkCounter:
             )
         else:
             self.max_weight = start.weight + total_steps
-        self._interner = PartitionInterner(self.max_weight, max_states=max_states)
+        if start.weight > self.max_weight:
+            raise ValueError(
+                f"start {start} is too heavy to reach {end} within total_steps={total_steps}"
+            )
+        self._interner: dict[Partition, int] = {start: 0}
+        self._states: list[Partition] = [start]
         self._succ: dict[int, list[tuple[int, int]]] = {}
         self.step_index = 0
-        self.layer: dict[int, int] = {self._interner.intern(start): 1}
+        self.layer: dict[int, int] = {0: 1}
 
     def _successors(self, sid: int) -> list[tuple[int, int]]:
         cached = self._succ.get(sid)
         if cached is None:
-            state = self._interner.partition_of(sid)
             cached = []
-            for _, nxt in legal_moves(state, allow_complex=self.allow_complex):
+            for _, nxt in legal_moves(self._states[sid], allow_complex=self.allow_complex):
                 if nxt.weight > self.max_weight:
                     continue
-                cached.append((self._interner.intern(nxt), nxt.weight))
+                tid = self._interner.get(nxt)
+                if tid is None:
+                    tid = len(self._states)
+                    if tid >= self.max_states:
+                        raise ResourceLimit(
+                            f"more than {self.max_states} distinct states; "
+                            "raise max_states to continue"
+                        )
+                    self._interner[nxt] = tid
+                    self._states.append(nxt)
+                cached.append((tid, nxt.weight))
             self._succ[sid] = cached
         return cached
 
@@ -113,7 +134,7 @@ class WalkCounter:
         k = self.step_index + 1
         cap = self._weight_cap(k)
         empty_ok = self.allow_interim_empty or (
-            k == self.total_steps and self.end is not None and self.end.is_empty
+            k == self.total_steps and self.end.is_empty
         )
         nxt: dict[int, int] = {}
         for sid, ways in self.layer.items():
@@ -131,24 +152,17 @@ class WalkCounter:
 
     def run(self) -> int:
         """Advance to the full length and return the count at ``end``."""
-        if self.end is None:
-            raise ValueError("run() needs an endpoint")
         while self.step_index < self.total_steps:
             self.advance()
         return self.count_of(self.end)
 
     def count_of(self, state: Partition) -> int:
-        sid = self._interner.lookup(state)
-        if sid is None:
-            return 0
-        return self.layer.get(sid, 0)
+        # an unseen state has no id, and None is never a layer key
+        return self.layer.get(self._interner.get(state), 0)
 
     def support(self) -> list[tuple[Partition, int]]:
         """Current layer as (state, count) pairs, in state-id order."""
-        return [
-            (self._interner.partition_of(sid), ways)
-            for sid, ways in sorted(self.layer.items())
-        ]
+        return [(self._states[sid], ways) for sid, ways in sorted(self.layer.items())]
 
 
 def _even_layer_counts(

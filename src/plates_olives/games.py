@@ -14,6 +14,8 @@ those token sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import CeilingExceeded, NotClosed, PrematureEmpty
@@ -26,14 +28,15 @@ DEFAULT_ORACLE_CEILING = 6
 
 @dataclass(frozen=True)
 class Game:
-    """A validated game: its moves plus the full state trace.
-
-    ``trace`` has one more entry than ``moves`` and starts and ends at the
-    empty partition.
-    """
+    """A validated game, stored as its moves."""
 
     moves: tuple[Move, ...]
-    trace: tuple[Partition, ...]
+
+    @cached_property
+    def trace(self) -> tuple[Partition, ...]:
+        """The states the game passes through, replayed by ``apply_move`` on
+        first use: one more entry than ``moves``, empty at both ends."""
+        return tuple(accumulate(self.moves, apply_move, initial=EMPTY))
 
     @property
     def n(self) -> int:
@@ -137,16 +140,14 @@ def validate_game(moves: Iterable[Move]) -> Game:
     if not seq:
         raise NotClosed("a game has at least two moves")
     state = EMPTY
-    trace = [state]
     last = len(seq) - 1
     for idx, move in enumerate(seq):
         state = apply_move(state, move)
         if state.is_empty and idx < last:
             raise PrematureEmpty(f"empty table after move {idx + 1} of {len(seq)}")
-        trace.append(state)
     if not state.is_empty:
         raise NotClosed(f"sequence ends at {state}, not at the empty table")
-    return Game(moves=seq, trace=tuple(trace))
+    return Game(moves=seq)
 
 
 def parse_game(text: str) -> Game:
@@ -178,11 +179,10 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
         return cached
 
     moves: list[Move] = []
-    trace: list[Partition] = [EMPTY]
 
     def walk(state: Partition, done: int) -> Iterator[Game]:
         if done == total:
-            yield Game(moves=tuple(moves), trace=tuple(trace))
+            yield Game(moves=tuple(moves))
             return
         remaining = total - done
         for move, nxt in succ(state):
@@ -193,10 +193,8 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
             if w == 0 and remaining != 1:
                 continue
             moves.append(move)
-            trace.append(nxt)
             yield from walk(nxt, done + 1)
             moves.pop()
-            trace.pop()
 
     yield from walk(EMPTY, 0)
 
@@ -206,15 +204,13 @@ def skeleton(game: Game) -> Skeleton:
 
 
 def game_stats(game: Game) -> GameStats:
-    counts = {kind: 0 for kind in MoveKind}
-    for m in game.moves:
-        counts[m.kind] += 1
+    kinds = [m.kind for m in game.moves]
     return GameStats(
-        v_f=counts[MoveKind.OLIVE_ADD_FIRST],
-        v_l=counts[MoveKind.OLIVE_ADD_LATER],
+        v_f=kinds.count(MoveKind.OLIVE_ADD_FIRST),
+        v_l=kinds.count(MoveKind.OLIVE_ADD_LATER),
         # the closing P-s is forced, so it is not part of the tally
-        p_s=counts[MoveKind.PLATE_REMOVE_SIMPLE] - 1,
-        p_c=counts[MoveKind.PLATE_REMOVE_COMPLEX],
+        p_s=kinds.count(MoveKind.PLATE_REMOVE_SIMPLE) - 1,
+        p_c=kinds.count(MoveKind.PLATE_REMOVE_COMPLEX),
     )
 
 

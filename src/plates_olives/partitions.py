@@ -34,7 +34,7 @@ from enum import Enum
 from math import isqrt
 from typing import Iterator
 
-from .errors import IllegalMove, ResourceLimit
+from .errors import IllegalMove
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
@@ -324,52 +324,3 @@ def partitions_up_to_weight(max_weight: int) -> Iterator[Partition]:
     for w in range(max_weight + 1):
         yield from partitions_of_weight(w)
 
-
-class PartitionInterner:
-    """Bijective ids for the partitions seen by a counting run.
-
-    Ids are handed out in first-seen order, so a deterministic caller gets
-    deterministic ids.  ``max_weight`` rejects states a correct caller
-    can never produce; ``max_states`` turns runaway growth into a
-    ResourceLimit instead of memory exhaustion.
-    """
-
-    def __init__(self, max_weight: int, max_states: int = DEFAULT_STATE_LIMIT) -> None:
-        if max_weight < 0:
-            raise ValueError("max_weight must be nonnegative")
-        if max_states < 1:
-            raise ValueError("max_states must be positive")
-        self.max_weight = max_weight
-        self.max_states = max_states
-        self._ids: dict[Partition, int] = {}
-        self._states: list[Partition] = []
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __contains__(self, state: Partition) -> bool:
-        return state in self._ids
-
-    def intern(self, state: Partition) -> int:
-        found = self._ids.get(state)
-        if found is not None:
-            return found
-        if state.weight > self.max_weight:
-            raise ValueError(
-                f"state {state} exceeds interner weight bound {self.max_weight}"
-            )
-        if len(self._states) >= self.max_states:
-            raise ResourceLimit(
-                f"more than {self.max_states} distinct states; "
-                "raise max_states to continue"
-            )
-        new_id = len(self._states)
-        self._ids[state] = new_id
-        self._states.append(state)
-        return new_id
-
-    def lookup(self, state: Partition) -> int | None:
-        return self._ids.get(state)
-
-    def partition_of(self, state_id: int) -> Partition:
-        return self._states[state_id]

@@ -244,10 +244,7 @@ def suite_bounds(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
     return out
 
 
-def suite_claims(
-    ceiling: int = games.DEFAULT_ORACLE_CEILING,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> list[CheckResult]:
+def suite_claims(ceiling: int = games.DEFAULT_ORACLE_CEILING) -> list[CheckResult]:
     out: list[CheckResult] = []
     cap_ok = True
     profile_ok = True
@@ -315,9 +312,7 @@ SUITES = {
         ceiling=opts.ceiling, max_states=opts.max_states
     ),
     "bounds": lambda opts: suite_bounds(max_states=opts.max_states),
-    "claims": lambda opts: suite_claims(
-        ceiling=opts.ceiling, max_states=opts.max_states
-    ),
+    "claims": lambda opts: suite_claims(ceiling=opts.ceiling),
 }
 
 
@@ -330,6 +325,8 @@ class SuiteOptions:
 def run_suites(names: list[str], options: SuiteOptions | None = None) -> list[tuple[str, CheckResult]]:
     """Run the named suites in order; results are (suite, check) pairs."""
     opts = options or SuiteOptions()
+    if opts.ceiling < 0:
+        raise ValueError("oracle ceiling must be nonnegative")
     out: list[tuple[str, CheckResult]] = []
     for name in names:
         for result in SUITES[name](opts):

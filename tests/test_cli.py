@@ -191,6 +191,12 @@ class TestVerifyCommand:
         assert suites == {"paper-values", "identities", "oracle", "bounds", "claims"}
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
+    def test_negative_oracle_ceiling_rejected(self, capsys):
+        rc, out, err = run(capsys, ["verify", "--suite", "claims", "--oracle-ceiling", "-1"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: oracle ceiling must be nonnegative\n"
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
@@ -257,6 +263,15 @@ class TestCache:
         assert rc == 1
         assert out == ""
         assert err == "error: count 1 at n=3 fell below the proven bound 15\n"
+
+    @pytest.mark.parametrize("command", ["ratio", "bounds"])
+    def test_empty_table_rejected_before_counting(self, capsys, tmp_path, command):
+        cache = tmp_path / "counts.json"
+        rc, out, err = run(capsys, [command, "--max-n", "0", "--cache", str(cache)])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: max_n must be at least 1\n"
+        assert not cache.exists()
 
     def test_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"

@@ -154,6 +154,40 @@ class TestWalkCounter:
                     peak = max(counter._weight_cap(k) for k in range(steps + 1))
                     assert counter.max_weight == peak
 
+    def test_start_too_heavy_for_end_rejected(self):
+        with pytest.raises(ValueError, match="too heavy"):
+            WalkCounter(start=Partition((1, 1, 1)), end=EMPTY, total_steps=1)
+
+    def test_max_states_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_states must be positive"):
+            WalkCounter(start=EMPTY, end=EMPTY, total_steps=2, max_states=0)
+
+    def test_state_table_read_by_benchmark_tracer(self):
+        # perfbench/tracing.py reads layer, _succ and _interner after each step
+        total = 10
+        counter = WalkCounter(
+            start=SINGLE_PLATE,
+            end=SINGLE_PLATE,
+            total_steps=total,
+            allow_interim_empty=False,
+        )
+        seen = {SINGLE_PLATE}
+        for _ in range(total):
+            before = list(counter.layer)
+            expanded = [state for state, _ in counter.support()]
+            counter.advance()
+            for state in expanded:
+                seen.update(
+                    nxt for _, nxt in legal_moves(state) if nxt.weight <= counter.max_weight
+                )
+            assert len(counter._interner) == len(seen)
+            assert set(counter._interner) == seen
+            assert all(isinstance(counter._succ[sid], list) for sid in before)
+            assert all(
+                isinstance(sid, int) and isinstance(ways, int) and ways > 0
+                for sid, ways in counter.layer.items()
+            )
+
 
 class TestClosedWalks:
     def test_frozen_values(self):

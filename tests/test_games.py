@@ -46,6 +46,9 @@ class TestValidateGame:
     def test_premature_empty(self):
         with pytest.raises(PrematureEmpty):
             parse_game("P+ P-s P+ P-s")
+        # the table clears before O+f is reached; the first failing move decides
+        with pytest.raises(PrematureEmpty):
+            parse_game("P+ P-s O+f O-:1 P-s")
 
     def test_not_closed(self):
         with pytest.raises(NotClosed):

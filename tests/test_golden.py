@@ -46,6 +46,8 @@ def _commands() -> list[tuple[str, ...]]:
         argvs.append(("count", "--max-n", "-1", "--variant", variant))
     argvs.append(("ratio", "--max-n", "0"))
     argvs.append(("enumerate", "--n", "9"))
+    argvs.append(("count", "--max-n", "3", "--max-states", "0"))
+    argvs.append(("count", "--max-n", "10", "--max-states", "20"))
     return argvs
 
 
@@ -94,6 +96,8 @@ GOLDEN = {
     ('count', '--max-n', '-1', '--variant', 'young'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_semilength must be nonnegative\n'),
     ('ratio', '--max-n', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be at least 1\n'),
     ('enumerate', '--n', '9'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: exhaustive enumeration at n=9 exceeds the ceiling 6\n'),
+    ('count', '--max-n', '3', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
+    ('count', '--max-n', '10', '--max-states', '20'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: more than 20 distinct states; raise max_states to continue\n'),
 }
 
 # argparse lays out --help differently from one Python release to the next

@@ -7,14 +7,13 @@ from math import isqrt
 
 import pytest
 
-from plates_olives.errors import IllegalMove, ResourceLimit
+from plates_olives.errors import IllegalMove
 from plates_olives.partitions import (
     EMPTY,
     SINGLE_PLATE,
     Move,
     MoveKind,
     Partition,
-    PartitionInterner,
     apply_move,
     legal_moves,
     move_capacity_profile,
@@ -243,32 +242,3 @@ def test_partition_generators():
     assert sizes == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert sum(1 for _ in partitions_up_to_weight(10)) == sum(sizes)
 
-
-class TestInterner:
-    def test_ids_stable_and_injective(self):
-        interner = PartitionInterner(max_weight=6)
-        states = list(partitions_up_to_weight(6))
-        ids = [interner.intern(p) for p in states]
-        assert ids == list(range(len(states)))
-        assert [interner.intern(p) for p in states] == ids
-        assert [interner.partition_of(i) for i in ids] == states
-        assert len(interner) == len(states)
-
-    def test_lookup_does_not_intern(self):
-        interner = PartitionInterner(max_weight=6)
-        assert interner.lookup(SINGLE_PLATE) is None
-        assert SINGLE_PLATE not in interner
-        interner.intern(SINGLE_PLATE)
-        assert interner.lookup(SINGLE_PLATE) == 0
-
-    def test_weight_bound(self):
-        interner = PartitionInterner(max_weight=3)
-        with pytest.raises(ValueError):
-            interner.intern(Partition((4,)))
-
-    def test_state_budget(self):
-        interner = PartitionInterner(max_weight=10, max_states=3)
-        for p in (EMPTY, SINGLE_PLATE, Partition((2,))):
-            interner.intern(p)
-        with pytest.raises(ResourceLimit):
-            interner.intern(Partition((3,)))
