@@ -43,6 +43,7 @@ from .counting import (
 from .errors import (
     CeilingExceeded,
     IllegalMove,
+    InvalidArgument,
     InvalidWalk,
     NotClosed,
     PlatesOlivesError,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .counting import count_games_through, double_factorial
-from .errors import PlatesOlivesError
-from .partitions import DEFAULT_STATE_LIMIT
+from .errors import InvalidArgument, PlatesOlivesError
 
 RATIO_PRECISION = 50
 
@@ -37,7 +36,7 @@ def nth_root_ratio(count: int, n: int) -> Decimal:
     if n < 1:
         raise ValueError("n must be at least 1")
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InvalidArgument("count must be positive")
     with localcontext() as ctx:
         ctx.prec = RATIO_PRECISION
         return (Decimal(count).ln() / n).exp() / n
@@ -46,15 +45,15 @@ def nth_root_ratio(count: int, n: int) -> Decimal:
 def check_table_size(max_n: int) -> None:
     """Reject a ratio or bound table with no rows, before any counting."""
     if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+        raise InvalidArgument("max_n must be at least 1")
 
 
-def _game_counts(max_n: int, counts: list[int] | None, max_states: int) -> list[int]:
+def _game_counts(max_n: int, counts: list[int] | None) -> list[int]:
     """[M_0..M_max_n] for a table over n = 1..max_n: the caller's counts
     when given (the cache path supplies them), else computed here."""
     check_table_size(max_n)
     if counts is None:
-        counts = count_games_through(max_n, max_states=max_states)
+        counts = count_games_through(max_n)
     if len(counts) < max_n + 1:
         raise ValueError("counts must cover n = 0..max_n")
     return counts
@@ -87,13 +86,9 @@ class BoundReport:
     crude_envelope: int
 
 
-def ratio_table(
-    max_n: int,
-    counts: list[int] | None = None,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> list[RatioReport]:
+def ratio_table(max_n: int, counts: list[int] | None = None) -> list[RatioReport]:
     """RatioReports for n = 1..max_n from one counting pass."""
-    counts = _game_counts(max_n, counts, max_states)
+    counts = _game_counts(max_n, counts)
     with localcontext() as ctx:
         ctx.prec = RATIO_PRECISION
         e = Decimal(1).exp()
@@ -118,11 +113,7 @@ def ratio_table(
     return out
 
 
-def bound_table(
-    max_n: int,
-    counts: list[int] | None = None,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> list[BoundReport]:
+def bound_table(max_n: int, counts: list[int] | None = None) -> list[BoundReport]:
     """BoundReports for n = 1..max_n.
 
     The double factorial (2n - 1)!! is a proven lower bound and is
@@ -130,7 +121,7 @@ def bound_table(
     envelope columns (2/e)^n n^n, (4/e)^n n^n and the crude 108^n n^n are
     reported for reading only.
     """
-    counts = _game_counts(max_n, counts, max_states)
+    counts = _game_counts(max_n, counts)
     out: list[BoundReport] = []
     for n in range(1, max_n + 1):
         lower = double_factorial(2 * n - 1)

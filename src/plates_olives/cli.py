@@ -208,11 +208,11 @@ def cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    options = verify.SuiteOptions(
-        ceiling=args.oracle_ceiling, max_states=args.max_states
-    )
     failures = 0
-    for suite, check in verify.run_suites(names, options):
+    checks = verify.run_suites(
+        names, ceiling=args.oracle_ceiling, max_states=args.max_states
+    )
+    for suite, check in checks:
         if check.ok:
             out.write(f"PASS [{suite}] {check.name}\n")
         else:
@@ -262,7 +262,7 @@ def cmd_bounds(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, cache: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default table)",
@@ -271,11 +271,10 @@ def _add_common(parser: argparse.ArgumentParser, cache: bool = True) -> None:
         "--max-states", type=int, default=DEFAULT_STATE_LIMIT,
         help="abort counting beyond this many distinct states",
     )
-    if cache:
-        parser.add_argument(
-            "--cache", metavar="PATH", default=None,
-            help="counts cache file (falls back to $OLIVE_CACHE)",
-        )
+    parser.add_argument(
+        "--cache", metavar="PATH", default=None,
+        help="counts cache file (falls back to $OLIVE_CACHE)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +333,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (PlatesOlivesError, ValueError) as exc:
+    except PlatesOlivesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from itertools import permutations
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import InvalidWalk, ResourceLimit
+from .errors import InvalidArgument, InvalidWalk, ResourceLimit
 from .games import Game, validate_game
 from .partitions import (
     DEFAULT_STATE_LIMIT,
@@ -75,7 +75,7 @@ class WalkCounter:
         if total_steps < 0:
             raise ValueError("total_steps must be nonnegative")
         if max_states < 1:
-            raise ValueError("max_states must be positive")
+            raise InvalidArgument("max_states must be positive")
         self.start = start
         self.end = end
         self.total_steps = total_steps
@@ -196,7 +196,7 @@ def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> li
     touches the empty table.
     """
     if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+        raise InvalidArgument("max_n must be nonnegative")
     return _even_layer_counts(
         SINGLE_PLATE, max_n, max_states, allow_interim_empty=False
     )
@@ -213,7 +213,7 @@ def count_closed_walks_through(
     """Closed-walk counts (length 2n + 2 from the empty table, interim
     empties allowed) for every n from 0 to ``max_n``."""
     if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+        raise InvalidArgument("max_n must be nonnegative")
     return _even_layer_counts(
         EMPTY, max_n + 1, max_states, allow_complex=allow_complex
     )[1:]
@@ -238,7 +238,7 @@ def count_young_walks_through(
     """Young-lattice closed-walk counts for lengths 0, 2, ..., 2*max_semilength
     out of one pass."""
     if max_semilength < 0:
-        raise ValueError("max_semilength must be nonnegative")
+        raise InvalidArgument("max_semilength must be nonnegative")
     return _even_layer_counts(EMPTY, max_semilength, max_states, allow_complex=False)
 
 

@@ -5,6 +5,11 @@ class PlatesOlivesError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(PlatesOlivesError, ValueError):
+    """Raised when a caller's argument is out of range; the CLI reports it as
+    a user error, and library callers may still catch it as a ValueError."""
+
+
 class IllegalMove(PlatesOlivesError):
     """Raised when a move is applied to a state where it is not legal."""
 

@@ -14,11 +14,11 @@ those token sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .errors import CeilingExceeded, NotClosed, PrematureEmpty
+from .errors import CeilingExceeded, InvalidArgument, NotClosed, PrematureEmpty
 from .partitions import EMPTY, Move, MoveKind, Partition, legal_moves, apply_move
 
 # Exhaustive enumeration grows like the game counts themselves; past this
@@ -163,21 +163,13 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     that cannot finish at desk scale; pass a larger value to go further.
     """
     if n < 0:
-        raise ValueError("game length must be nonnegative")
+        raise InvalidArgument("game length must be nonnegative")
     if n > ceiling:
         raise CeilingExceeded(
             f"exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"
         )
     total = 2 * n + 2
-    succ_cache: dict[Partition, list[tuple[Move, Partition]]] = {}
-
-    def succ(state: Partition) -> list[tuple[Move, Partition]]:
-        cached = succ_cache.get(state)
-        if cached is None:
-            cached = legal_moves(state)
-            succ_cache[state] = cached
-        return cached
-
+    succ = cache(legal_moves)
     moves: list[Move] = []
 
     def walk(state: Partition, done: int) -> Iterator[Game]:

@@ -6,8 +6,8 @@ size 1 and the empty table is the empty partition.  The weight of the
 partition (sum of parts) is therefore plates plus olives.
 
 Six kinds of move act on a configuration.  Their tokens form a small
-grammar that is shared by the whole package and is parsed and printed
-bit for bit:
+grammar that is shared by the whole package; ``parse`` accepts exactly
+the text that ``token`` and ``str`` print:
 
     P+         put a new empty plate on the table
     O+f        put an olive on some empty plate
@@ -19,8 +19,11 @@ bit for bit:
 
 Moves are identified by what they consume, not by which physical plate is
 touched, so two plates with the same olive count are interchangeable and
-each token names at most one legal transition.  Adding moves (P+, O+f,
-O+l) raise the weight by one; the removing moves lower it by one.
+each token names at most one legal transition.  ``Move.exchange`` states
+each move's effect once, as the parts it takes off the table and the parts
+it puts back; a move is legal exactly when the parts it takes are there.
+Adding moves (P+, O+f, O+l) raise the weight by one; the removing moves
+lower it by one.
 
 Partitions print with parts nonincreasing and comma-separated inside
 angle brackets, "<3,2,1>", and the empty partition prints as "<>".
@@ -59,14 +62,6 @@ class MoveKind(Enum):
     PLATE_REMOVE_SIMPLE = "P-s"
     PLATE_REMOVE_COMPLEX = "P-c"
 
-    @property
-    def is_addition(self) -> bool:
-        return self in (
-            MoveKind.PLATE_ADD,
-            MoveKind.OLIVE_ADD_FIRST,
-            MoveKind.OLIVE_ADD_LATER,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Move:
@@ -98,8 +93,26 @@ class Move:
             raise ValueError(f"{kind.value} takes no parameters")
 
     @property
+    def exchange(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(taken, put): the parts this move removes from the table and the
+        parts it adds back.  This is the one statement of what a move does."""
+        kind, i, j = self.kind, self.i, self.j
+        if kind is MoveKind.PLATE_ADD:
+            return (), (1,)
+        if kind is MoveKind.OLIVE_ADD_FIRST:
+            return (1,), (2,)
+        if kind is MoveKind.PLATE_REMOVE_SIMPLE:
+            return (1,), ()
+        if kind is MoveKind.OLIVE_ADD_LATER:
+            return (i + 1,), (i + 2,)
+        if kind is MoveKind.OLIVE_REMOVE:
+            return (i + 1,), (i,)
+        return (i + 1, j + 1), (i + j + 1,)
+
+    @property
     def weight_delta(self) -> int:
-        return 1 if self.kind.is_addition else -1
+        taken, put = self.exchange
+        return sum(put) - sum(taken)
 
     def token(self) -> str:
         kind = self.kind
@@ -114,32 +127,15 @@ class Move:
 
     @classmethod
     def parse(cls, token: str) -> "Move":
+        """The move whose token is exactly ``token``."""
         head, sep, tail = token.partition(":")
-        kind = _KIND_BY_PREFIX.get(head)
-        if kind is None:
-            raise ValueError(f"unknown move token {token!r}")
-        if not sep:
-            if kind in _PARAMETERLESS:
-                return cls(kind)
-            raise ValueError(f"move token {token!r} is missing its parameters")
-        if kind in _PARAMETERLESS:
-            raise ValueError(f"move token {token!r} takes no parameters")
         try:
-            if kind is MoveKind.PLATE_REMOVE_COMPLEX:
-                a, b = tail.split(",")
-                lo, hi = int(a), int(b)
-                if lo > hi:
-                    raise ValueError("pair must print with i <= j")
-                return cls(kind, i=lo, j=hi)
-            return cls(kind, i=int(tail))
-        except ValueError as exc:
-            raise ValueError(f"malformed move token {token!r}") from exc
-
-
-_KIND_BY_PREFIX = {kind.value: kind for kind in MoveKind}
-_PARAMETERLESS = frozenset(
-    {MoveKind.PLATE_ADD, MoveKind.OLIVE_ADD_FIRST, MoveKind.PLATE_REMOVE_SIMPLE}
-)
+            move = cls(MoveKind(head), *(map(int, tail.split(",")) if sep else ()))
+            if move.token() == token:
+                return move
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"malformed move token {token!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +146,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        # exact int only: a bool is an int too, but prints as True
+        if parts and ({*map(type, parts)} != {int} or min(parts) < 1):
             raise ValueError("parts must be integers >= 1")
-        if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
-            parts = tuple(sorted(parts, reverse=True))
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     @property
     def weight(self) -> int:
@@ -186,30 +181,27 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        if len(text) < 2 or text[0] != "<" or text[-1] != ">":
-            raise ValueError(f"malformed partition literal {text!r}")
+        """The partition that prints exactly as ``text``."""
         body = text[1:-1]
-        if not body:
-            return cls()
         try:
-            parts = tuple(int(piece) for piece in body.split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed partition literal {text!r}") from exc
-        if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
-            raise ValueError(f"parts are not nonincreasing in {text!r}")
-        return cls(parts)
+            state = cls(tuple(map(int, body.split(","))) if body else ())
+            if str(state) == text:
+                return state
+        except ValueError:
+            pass
+        raise ValueError(f"malformed partition literal {text!r}")
 
 
 EMPTY = Partition()
 SINGLE_PLATE = Partition((1,))
 
 
-def _replaced(parts: tuple[int, ...], old: int, new: int | None) -> Partition:
-    lst = list(parts)
-    lst.remove(old)
-    if new is not None:
-        lst.append(new)
-    return Partition(tuple(sorted(lst, reverse=True)))
+def _successor(state: Partition, move: Move) -> Partition:
+    taken, put = move.exchange
+    rest = list(state.parts)
+    for part in taken:
+        rest.remove(part)
+    return Partition((*rest, *put))
 
 
 def legal_moves(
@@ -223,64 +215,29 @@ def legal_moves(
     """
     occ = state.occupancy()
     held = sorted(c for c in occ if c >= 1)
-    out: list[tuple[Move, Partition]] = [
-        (Move(MoveKind.PLATE_ADD), Partition(state.parts + (1,)))
-    ]
+    moves = [Move(MoveKind.PLATE_ADD)]
     if occ.get(0):
-        out.append((Move(MoveKind.OLIVE_ADD_FIRST), _replaced(state.parts, 1, 2)))
-        out.append((Move(MoveKind.PLATE_REMOVE_SIMPLE), _replaced(state.parts, 1, None)))
+        moves += [Move(MoveKind.OLIVE_ADD_FIRST), Move(MoveKind.PLATE_REMOVE_SIMPLE)]
     for c in held:
-        out.append(
-            (Move(MoveKind.OLIVE_ADD_LATER, i=c), _replaced(state.parts, c + 1, c + 2))
-        )
-        out.append((Move(MoveKind.OLIVE_REMOVE, i=c), _replaced(state.parts, c + 1, c)))
+        moves += [Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)]
     if allow_complex:
-        for a, ci in enumerate(held):
-            for cj in held[a:]:
-                if ci == cj and occ[ci] < 2:
-                    continue
-                lst = list(state.parts)
-                lst.remove(ci + 1)
-                lst.remove(cj + 1)
-                lst.append(ci + cj + 1)
-                move = Move(MoveKind.PLATE_REMOVE_COMPLEX, i=ci, j=cj)
-                out.append((move, Partition(tuple(sorted(lst, reverse=True)))))
-    out.sort(key=lambda pair: pair[0].token())
-    return out
+        moves += [
+            Move(MoveKind.PLATE_REMOVE_COMPLEX, ci, cj)
+            for a, ci in enumerate(held)
+            for cj in held[a:]
+            if ci != cj or occ[ci] >= 2
+        ]
+    moves.sort(key=Move.token)
+    return [(move, _successor(state, move)) for move in moves]
 
 
 def apply_move(state: Partition, move: Move) -> Partition:
-    """Apply one move, raising IllegalMove when its preconditions fail."""
-    occ = state.occupancy()
-    kind = move.kind
-    if kind is MoveKind.PLATE_ADD:
-        return Partition(state.parts + (1,))
-    if kind is MoveKind.OLIVE_ADD_FIRST:
-        if not occ.get(0):
-            raise IllegalMove(f"O+f needs an empty plate at {state}")
-        return _replaced(state.parts, 1, 2)
-    if kind is MoveKind.PLATE_REMOVE_SIMPLE:
-        if not occ.get(0):
-            raise IllegalMove(f"P-s needs an empty plate at {state}")
-        return _replaced(state.parts, 1, None)
-    if kind is MoveKind.OLIVE_ADD_LATER:
-        if not occ.get(move.i):
-            raise IllegalMove(f"{move} needs a plate with {move.i} olives at {state}")
-        return _replaced(state.parts, move.i + 1, move.i + 2)
-    if kind is MoveKind.OLIVE_REMOVE:
-        if not occ.get(move.i):
-            raise IllegalMove(f"{move} needs a plate with {move.i} olives at {state}")
-        return _replaced(state.parts, move.i + 1, move.i)
-    # P-c: needs two distinct plates holding i and j olives
-    ci, cj = move.i, move.j
-    enough = occ.get(ci, 0) >= 2 if ci == cj else occ.get(ci) and occ.get(cj)
-    if not enough:
-        raise IllegalMove(f"{move} needs plates with {ci} and {cj} olives at {state}")
-    lst = list(state.parts)
-    lst.remove(ci + 1)
-    lst.remove(cj + 1)
-    lst.append(ci + cj + 1)
-    return Partition(tuple(sorted(lst, reverse=True)))
+    """Apply one move, raising IllegalMove unless every part it takes is on
+    the table."""
+    taken, _ = move.exchange
+    if Counter(taken) - Counter(state.parts):
+        raise IllegalMove(f"{move} takes plates that {state} does not have")
+    return _successor(state, move)
 
 
 def move_capacity_profile(state: Partition) -> dict[MoveKind, int]:

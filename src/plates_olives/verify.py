@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from . import analysis, counting, games, partitions
-from .errors import PlatesOlivesError
+from .errors import InvalidArgument, PlatesOlivesError
 from .partitions import DEFAULT_STATE_LIMIT, MoveKind
 
 # The interim-returns closed-walk counts were once circulated as
@@ -305,30 +305,26 @@ def suite_claims(ceiling: int = games.DEFAULT_ORACLE_CEILING) -> list[CheckResul
     return out
 
 
+# every suite is called as suite(ceiling, max_states)
 SUITES = {
-    "paper-values": lambda opts: suite_paper_values(max_states=opts.max_states),
-    "identities": lambda opts: suite_identities(),
-    "oracle": lambda opts: suite_oracle(
-        ceiling=opts.ceiling, max_states=opts.max_states
-    ),
-    "bounds": lambda opts: suite_bounds(max_states=opts.max_states),
-    "claims": lambda opts: suite_claims(ceiling=opts.ceiling),
+    "paper-values": lambda ceiling, max_states: suite_paper_values(max_states),
+    "identities": lambda ceiling, max_states: suite_identities(),
+    "oracle": lambda ceiling, max_states: suite_oracle(ceiling, max_states),
+    "bounds": lambda ceiling, max_states: suite_bounds(max_states),
+    "claims": lambda ceiling, max_states: suite_claims(ceiling),
 }
 
 
-@dataclass
-class SuiteOptions:
-    ceiling: int = games.DEFAULT_ORACLE_CEILING
-    max_states: int = DEFAULT_STATE_LIMIT
-
-
-def run_suites(names: list[str], options: SuiteOptions | None = None) -> list[tuple[str, CheckResult]]:
+def run_suites(
+    names: list[str],
+    ceiling: int = games.DEFAULT_ORACLE_CEILING,
+    max_states: int = DEFAULT_STATE_LIMIT,
+) -> list[tuple[str, CheckResult]]:
     """Run the named suites in order; results are (suite, check) pairs."""
-    opts = options or SuiteOptions()
-    if opts.ceiling < 0:
-        raise ValueError("oracle ceiling must be nonnegative")
+    if ceiling < 0:
+        raise InvalidArgument("oracle ceiling must be nonnegative")
     out: list[tuple[str, CheckResult]] = []
     for name in names:
-        for result in SUITES[name](opts):
+        for result in SUITES[name](ceiling, max_states):
             out.append((name, result))
     return out

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from plates_olives import counting
 from plates_olives.cli import main
 from plates_olives.counting import count_games
 from plates_olives.games import parse_game
@@ -264,6 +265,17 @@ class TestCache:
         assert out == ""
         assert err == "error: count 1 at n=3 fell below the proven bound 15\n"
 
+    def test_ratio_rejects_nonpositive_cached_count(self, capsys, tmp_path):
+        cache = tmp_path / "counts.json"
+        run(capsys, ["count", "--max-n", "3", "--cache", str(cache)])
+        data = json.loads(cache.read_text())
+        data["counts"]["first-return"]["3"] = "0"
+        cache.write_text(json.dumps(data))
+        rc, out, err = run(capsys, ["ratio", "--max-n", "3", "--cache", str(cache)])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: count must be positive\n"
+
     @pytest.mark.parametrize("command", ["ratio", "bounds"])
     def test_empty_table_rejected_before_counting(self, capsys, tmp_path, command):
         cache = tmp_path / "counts.json"
@@ -309,6 +321,18 @@ class TestCache:
         assert rc == 0
         assert flag_cache.exists()
         assert not env_cache.exists()
+
+
+class TestErrors:
+    def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch):
+        # only argument checks print "error: ..."; any other ValueError is a bug
+        def broken(max_n, max_states):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(counting, "count_games_through", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["count", "--max-n", "3"])
+        assert capsys.readouterr().err == ""
 
 
 class TestParser:

@@ -67,6 +67,10 @@ class TestValidateGame:
         with pytest.raises(IllegalMove):
             parse_game("P+ O+f O+f O-:1 O-:1 P-s")
 
+    def test_token_that_does_not_print_back_rejected(self):
+        with pytest.raises(ValueError, match="malformed move token 'O-:01'"):
+            parse_game("P+ O+f O-:01 P-s")
+
     def test_game_shape_invariants(self):
         for n in range(4):
             for game in enumerate_games(n):

@@ -48,6 +48,10 @@ def _commands() -> list[tuple[str, ...]]:
     argvs.append(("enumerate", "--n", "9"))
     argvs.append(("count", "--max-n", "3", "--max-states", "0"))
     argvs.append(("count", "--max-n", "10", "--max-states", "20"))
+    argvs.append(("enumerate", "--n", "-1"))
+    argvs.append(("verify", "--oracle-ceiling", "-1"))
+    argvs.append(("verify", "--suite", "paper-values", "--max-states", "0"))
+    argvs.append(("bounds", "--max-n", "0"))
     return argvs
 
 
@@ -98,6 +102,10 @@ GOLDEN = {
     ('enumerate', '--n', '9'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: exhaustive enumeration at n=9 exceeds the ceiling 6\n'),
     ('count', '--max-n', '3', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
     ('count', '--max-n', '10', '--max-states', '20'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: more than 20 distinct states; raise max_states to continue\n'),
+    ('enumerate', '--n', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: game length must be nonnegative\n'),
+    ('verify', '--oracle-ceiling', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: oracle ceiling must be nonnegative\n'),
+    ('verify', '--suite', 'paper-values', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
+    ('bounds', '--max-n', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be at least 1\n'),
 }
 
 # argparse lays out --help differently from one Python release to the next

@@ -62,6 +62,9 @@ class TestPartition:
             Partition((2, 0))
         with pytest.raises(ValueError):
             Partition((-1,))
+        # a bool is an int, but would print as <True>
+        with pytest.raises(ValueError):
+            Partition((True,))
 
     def test_derived_quantities(self):
         p = Partition((3, 2, 1))
@@ -77,7 +80,12 @@ class TestPartition:
         for text in ("<>", "<1>", "<3,2,1>", "<5,5,1>"):
             assert str(Partition.parse(text)) == text
 
-    @pytest.mark.parametrize("bad", ["", "<", "3,2,1", "<3,2,>", "<1,2>", "<a>"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "<", "3,2,1", "<3,2,>", "<1,2>", "<a>"]
+        # int() reads these, but they do not print back as written
+        + ["< 3,2>", "<2 ,1>", "<03>", "<+2,1>", "<1_0>"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             Partition.parse(bad)
@@ -92,7 +100,11 @@ class TestMove:
         assert Move(MoveKind.PLATE_REMOVE_COMPLEX, i=2, j=1).token() == "P-c:1,2"
 
     @pytest.mark.parametrize(
-        "bad", ["", "P", "P+:1", "O+l", "O+l:0", "O-:x", "P-c:2,1", "P-c:1", "Q+"]
+        "bad",
+        ["", "P", "P+:1", "O+l", "O+l:0", "O-:x", "P-c:2,1", "P-c:1", "Q+"]
+        # int() reads most of these, but they do not print back as written
+        + ["O+l: 1", "O+l:01", "O+l:+1", "O+l:1_0", "P-c:1, 2", "P-c:1,2,3"]
+        + ["O+l:1,2", "O-:\u0661"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -173,6 +185,24 @@ class TestApplyMove:
             for move, target in legal_moves(state):
                 assert apply_move(state, move) == target
                 assert target.weight - state.weight == move.weight_delta
+
+    def test_agrees_with_legal_moves_both_ways(self):
+        # every token the grammar names with counts up to the largest part
+        for state in partitions_up_to_weight(14):
+            legal = dict(legal_moves(state))
+            counts = range(1, max(state.parts, default=0) + 1)
+            tokens = ["P+", "O+f", "P-s"]
+            tokens += [f"{kind}:{c}" for kind in ("O+l", "O-") for c in counts]
+            tokens += [f"P-c:{c},{d}" for c in counts for d in counts if c <= d]
+            moves = [Move.parse(token) for token in tokens]
+            assert set(legal) <= set(moves), state
+            for move in moves:
+                try:
+                    target = apply_move(state, move)
+                except IllegalMove:
+                    assert move not in legal, (state, move)
+                else:
+                    assert legal.get(move) == target, (state, move)
 
 
 class TestCapacityProfile:
