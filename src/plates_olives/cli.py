@@ -19,8 +19,11 @@ CSV with the header ``v_f,v_l,p_s,p_c,count``.
 
 A cache path set by ``--cache`` or the OLIVE_CACHE environment variable
 stores computed counts keyed by variant and n in a versioned JSON file;
-a version mismatch or unreadable file invalidates the whole cache.  The
-``--self-check`` flag recomputes cached values and fails on any drift.
+a version mismatch or unreadable file invalidates the whole cache.  A row
+that contradicts a known count (M_0..M_4, the closed values for n <= 4,
+(2n-1)!! for young, M_n >= (2n-1)!! beyond) is dropped with a warning on
+stderr and recomputed.  The ``--self-check`` flag recomputes cached values
+and fails on any drift.
 """
 
 from __future__ import annotations
@@ -51,6 +54,32 @@ def _sci(value: Decimal) -> str:
     return format(value, ".6E")
 
 
+# exact counts a cached row must match, beyond which M_n >= (2n - 1)!!
+# (closed walks include the games, so the bound holds for them too)
+_KNOWN_COUNTS = {
+    "first-return": verify.GOLDEN_GAME_COUNTS,
+    "closed": verify.CLOSED_WITH_MERGES,
+}
+
+
+def _contradiction(variant: str, n: int, count: int) -> str | None:
+    """Why a cached count cannot be right, or None if nothing known
+    contradicts it."""
+    if n < 0:
+        return "n is negative"
+    # (2n-1)!! >= 2**(n-1) > count once n - 1 > count.bit_length(), so a
+    # huge n from the file needs no huge product
+    floor = None if n - 1 > count.bit_length() else counting.double_factorial(2 * n - 1)
+    if variant == "young":
+        return None if count == floor else f"{count} is not (2n-1)!!"
+    known = _KNOWN_COUNTS[variant]
+    if n < len(known):
+        return None if count == known[n] else f"{count} is not the known value {known[n]}"
+    if floor is None or count < floor:
+        return f"{count} is below the proven bound (2n-1)!!"
+    return None
+
+
 class CacheFile:
     """Versioned JSON store of computed counts, keyed by (variant, n)."""
 
@@ -78,6 +107,18 @@ class CacheFile:
                     loaded[variant][int(key)] = int(value)
         except (TypeError, ValueError, AttributeError):
             return
+        for variant, rows in loaded.items():
+            dropped = []
+            for n, count in sorted(rows.items()):
+                reason = _contradiction(variant, n, count)
+                if reason:
+                    dropped.append(f"n={n}: {reason}")
+                    del rows[n]
+            if dropped:
+                print(
+                    f"warning: cache drops {variant} {'; '.join(dropped)}",
+                    file=sys.stderr,
+                )
         self.counts = loaded
 
     def get(self, variant: str, n: int) -> int | None:

@@ -42,8 +42,12 @@ class WalkCounter:
     """Layer-by-layer walk counts on the move graph.
 
     The counter starts with mass 1 on ``start`` and each ``advance()``
-    pushes the whole layer through the legal moves.  States get ids in
-    first-seen order, so a deterministic caller gets deterministic ids.
+    pushes the whole layer through the legal moves.  States are interned
+    by their raw parts tuples and get ids in first-seen order, so a
+    deterministic caller gets deterministic ids.  A state's successor list
+    is built once, from ``legal_moves``, with its heavier targets first:
+    every move changes the weight by one, so the weight cap and the ban on
+    the empty table are decided once per source state, never per edge.
     Options:
 
     ``prune``
@@ -96,32 +100,47 @@ class WalkCounter:
             raise ValueError(
                 f"start {start} is too heavy to reach {end} within total_steps={total_steps}"
             )
-        self._interner: dict[Partition, int] = {start: 0}
+        # keyed by the raw parts tuple, which hashes in C; legal_moves
+        # still takes the Partition, kept in _states
+        self._interner: dict[tuple[int, ...], int] = {start.parts: 0}
         self._states: list[Partition] = [start]
-        self._succ: dict[int, list[tuple[int, int]]] = {}
+        self._weights: list[int] = [start.weight]
+        # _succ[sid] lists heavier targets, then lighter ones, each in
+        # legal_moves order; _split[sid] is the number of heavier ones
+        self._succ: dict[int, list[int]] = {}
+        self._split: dict[int, int] = {}
         self.step_index = 0
         self.layer: dict[int, int] = {0: 1}
 
-    def _successors(self, sid: int) -> list[tuple[int, int]]:
-        cached = self._succ.get(sid)
-        if cached is None:
-            cached = []
-            for _, nxt in legal_moves(self._states[sid], allow_complex=self.allow_complex):
-                if nxt.weight > self.max_weight:
-                    continue
-                tid = self._interner.get(nxt)
-                if tid is None:
-                    tid = len(self._states)
-                    if tid >= self.max_states:
-                        raise ResourceLimit(
-                            f"more than {self.max_states} distinct states; "
-                            "raise max_states to continue"
-                        )
-                    self._interner[nxt] = tid
-                    self._states.append(nxt)
-                cached.append((tid, nxt.weight))
-            self._succ[sid] = cached
-        return cached
+    def _expand(self, sid: int) -> list[int]:
+        weight = self._weights[sid]
+        # every move changes the weight by one, and only the heavier side
+        # can pass max_weight
+        heavier_fit = weight < self.max_weight
+        heavier: list[int] = []
+        lighter: list[int] = []
+        interner = self._interner
+        for _, nxt in legal_moves(self._states[sid], allow_complex=self.allow_complex):
+            parts = nxt.parts
+            w = sum(parts)
+            if w > weight and not heavier_fit:
+                continue
+            tid = interner.get(parts)
+            if tid is None:
+                tid = len(self._states)
+                if tid >= self.max_states:
+                    raise ResourceLimit(
+                        f"more than {self.max_states} distinct states; "
+                        "raise max_states to continue"
+                    )
+                interner[parts] = tid
+                self._states.append(nxt)
+                self._weights.append(w)
+            (heavier if w > weight else lighter).append(tid)
+        self._split[sid] = len(heavier)
+        heavier += lighter
+        self._succ[sid] = heavier
+        return heavier
 
     def _weight_cap(self, k: int) -> int:
         if not self.prune:
@@ -136,13 +155,20 @@ class WalkCounter:
         empty_ok = self.allow_interim_empty or (
             k == self.total_steps and self.end.is_empty
         )
+        succ, split, weights = self._succ, self._split, self._weights
         nxt: dict[int, int] = {}
         for sid, ways in self.layer.items():
-            for tid, w in self._successors(sid):
-                if w > cap:
-                    continue
-                if w == 0 and not empty_ok:
-                    continue
+            targets = succ.get(sid)
+            if targets is None:
+                targets = self._expand(sid)
+            weight = weights[sid]
+            # heavier targets weigh weight + 1, over the cap once weight
+            # reaches it; a weight-1 source's lighter targets are the empty table
+            lo = split[sid] if weight >= cap else 0
+            hi = split[sid] if weight == 1 and not empty_ok else len(targets)
+            if lo or hi < len(targets):
+                targets = targets[lo:hi]
+            for tid in targets:
                 if tid in nxt:
                     nxt[tid] += ways
                 else:
@@ -158,7 +184,7 @@ class WalkCounter:
 
     def count_of(self, state: Partition) -> int:
         # an unseen state has no id, and None is never a layer key
-        return self.layer.get(self._interner.get(state), 0)
+        return self.layer.get(self._interner.get(state.parts), 0)
 
     def support(self) -> list[tuple[Partition, int]]:
         """Current layer as (state, count) pairs, in state-id order."""

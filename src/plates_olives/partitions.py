@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import isqrt
 from typing import Iterator
 
@@ -52,6 +53,11 @@ def w_cap(t: int) -> int:
     if t < 0:
         raise ValueError("weight must be nonnegative")
     return (1 + isqrt(1 + 8 * t)) // 2
+
+
+def _is_count(value: object) -> bool:
+    # exact int only: a bool is an int too, but prints as True
+    return type(value) is int and value >= 1
 
 
 class MoveKind(Enum):
@@ -77,19 +83,18 @@ class Move:
     j: int | None = None
 
     def __post_init__(self) -> None:
-        kind = self.kind
+        kind, i, j = self.kind, self.i, self.j
         if kind in (MoveKind.OLIVE_ADD_LATER, MoveKind.OLIVE_REMOVE):
-            if self.i is None or self.i < 1 or self.j is not None:
+            if not _is_count(i) or j is not None:
                 raise ValueError(f"{kind.value} takes a single olive count >= 1")
         elif kind is MoveKind.PLATE_REMOVE_COMPLEX:
-            if self.i is None or self.j is None or self.i < 1 or self.j < 1:
+            if not (_is_count(i) and _is_count(j)):
                 raise ValueError("P-c takes an unordered pair of counts >= 1")
-            if self.i > self.j:
+            if i > j:
                 # the pair is unordered; store it canonically as i <= j
-                lo, hi = self.j, self.i
-                object.__setattr__(self, "i", lo)
-                object.__setattr__(self, "j", hi)
-        elif self.i is not None or self.j is not None:
+                object.__setattr__(self, "i", j)
+                object.__setattr__(self, "j", i)
+        elif i is not None or j is not None:
             raise ValueError(f"{kind.value} takes no parameters")
 
     @property
@@ -196,12 +201,50 @@ EMPTY = Partition()
 SINGLE_PLATE = Partition((1,))
 
 
-def _successor(state: Partition, move: Move) -> Partition:
-    taken, put = move.exchange
-    rest = list(state.parts)
+def _successor(
+    parts: tuple[int, ...], taken: tuple[int, ...], put: tuple[int, ...]
+) -> Partition:
+    """The state left by taking ``taken`` off ``parts`` and putting ``put``
+    back.  The result is sorted here, so it is built without re-running
+    ``Partition``'s checks."""
+    rest = list(parts)
     for part in taken:
         rest.remove(part)
-    return Partition((*rest, *put))
+    rest += put
+    rest.sort(reverse=True)
+    state = object.__new__(Partition)
+    object.__setattr__(state, "parts", tuple(rest))
+    return state
+
+
+# (token, move, taken, put): what legal_moves sorts by, returns and applies
+_Entry = tuple[str, Move, tuple[int, ...], tuple[int, ...]]
+
+
+def _entry(kind: MoveKind, i: int | None = None, j: int | None = None) -> _Entry:
+    """One move's entry, built once per distinct move by the caches below
+    and shared by every state that has the move."""
+    move = Move(kind, i, j)
+    return (move.token(), move, *move.exchange)
+
+
+_PLATE_ADD = _entry(MoveKind.PLATE_ADD)
+_EMPTY_PLATE_MOVES = (
+    _entry(MoveKind.OLIVE_ADD_FIRST),
+    _entry(MoveKind.PLATE_REMOVE_SIMPLE),
+)
+
+
+# the caches take plain ints, which hash in C (a MoveKind does not)
+@cache
+def _held_moves(c: int) -> tuple[_Entry, _Entry]:
+    """The O+l:c and O-:c entries."""
+    return _entry(MoveKind.OLIVE_ADD_LATER, c), _entry(MoveKind.OLIVE_REMOVE, c)
+
+
+@cache
+def _merge_move(ci: int, cj: int) -> _Entry:
+    return _entry(MoveKind.PLATE_REMOVE_COMPLEX, ci, cj)
 
 
 def legal_moves(
@@ -213,31 +256,33 @@ def legal_moves(
     the single-box moves of Young's lattice plus the constraint that O+f,
     P-s need an empty plate on the table.
     """
-    occ = state.occupancy()
-    held = sorted(c for c in occ if c >= 1)
-    moves = [Move(MoveKind.PLATE_ADD)]
-    if occ.get(0):
-        moves += [Move(MoveKind.OLIVE_ADD_FIRST), Move(MoveKind.PLATE_REMOVE_SIMPLE)]
+    parts = state.parts
+    plates = Counter(parts)  # part -> plates with part - 1 olives
+    held = sorted(part - 1 for part in plates if part >= 2)
+    entries = [_PLATE_ADD]
+    if 1 in plates:
+        entries += _EMPTY_PLATE_MOVES
     for c in held:
-        moves += [Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)]
+        entries += _held_moves(c)
     if allow_complex:
-        moves += [
-            Move(MoveKind.PLATE_REMOVE_COMPLEX, ci, cj)
+        entries += [
+            _merge_move(ci, cj)
             for a, ci in enumerate(held)
             for cj in held[a:]
-            if ci != cj or occ[ci] >= 2
+            if ci != cj or plates[ci + 1] >= 2
         ]
-    moves.sort(key=Move.token)
-    return [(move, _successor(state, move)) for move in moves]
+    # tokens are unique, so the sort never compares past them
+    entries.sort()
+    return [(move, _successor(parts, taken, put)) for _, move, taken, put in entries]
 
 
 def apply_move(state: Partition, move: Move) -> Partition:
     """Apply one move, raising IllegalMove unless every part it takes is on
     the table."""
-    taken, _ = move.exchange
+    taken, put = move.exchange
     if Counter(taken) - Counter(state.parts):
         raise IllegalMove(f"{move} takes plates that {state} does not have")
-    return _successor(state, move)
+    return _successor(state.parts, taken, put)
 
 
 def move_capacity_profile(state: Partition) -> dict[MoveKind, int]:

@@ -230,12 +230,14 @@ class TestCache:
         assert rc == 0
         assert out == GOLDEN_COUNT_TABLE
 
+    # M_6 = 152099; a wrong value above (2n-1)!! = 10395 contradicts no
+    # known count, so only --self-check can catch it
     def test_self_check_catches_corruption(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "4", "--cache", str(cache)]
+        argv = ["count", "--max-n", "6", "--cache", str(cache)]
         run(capsys, argv)
         data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["3"] = "999"
+        data["counts"]["first-return"]["6"] = "999999"
         cache.write_text(json.dumps(data))
         rc, out, err = run(capsys, argv + ["--self-check"])
         assert rc == 1
@@ -245,33 +247,65 @@ class TestCache:
     def test_corruption_without_self_check_is_served(self, capsys, tmp_path):
         # by design the cache is trusted unless --self-check is passed
         cache = tmp_path / "counts.json"
+        argv = ["count", "--max-n", "6", "--cache", str(cache)]
+        run(capsys, argv)
+        data = json.loads(cache.read_text())
+        data["counts"]["first-return"]["6"] = "999999"
+        cache.write_text(json.dumps(data))
+        rc, out, err = run(capsys, argv)
+        assert rc == 0
+        assert out.splitlines()[-1] == "6  999999"
+        assert err == ""
+
+    def test_impossible_cached_count_is_dropped_and_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "counts.json"
         argv = ["count", "--max-n", "3", "--cache", str(cache)]
         run(capsys, argv)
         data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["3"] = "999"
+        data["counts"]["first-return"]["3"] = "0"
         cache.write_text(json.dumps(data))
-        rc, out, _ = run(capsys, argv)
+        rc, out, err = run(capsys, argv)
         assert rc == 0
-        assert out.splitlines()[-1] == "3    999"
+        assert out == "n  count\n0      1\n1      2\n2     10\n3     76\n"
+        assert err == "warning: cache drops first-return n=3: 0 is not the known value 76\n"
+        assert json.loads(cache.read_text())["counts"]["first-return"]["3"] == "76"
 
-    def test_bounds_reject_count_below_proven_bound(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "variant, n, value, reason",
+        [
+            ("first-return", "6", "10394", "10394 is below the proven bound (2n-1)!!"),
+            ("first-return", "-1", "1", "n is negative"),
+            ("closed", "4", "981", "981 is not the known value 1015"),
+            ("closed", "6", "-5", "-5 is below the proven bound (2n-1)!!"),
+            ("young", "6", "10396", "10396 is not (2n-1)!!"),
+            # the bound stops multiplying once it passes the count
+            ("young", "1000000000", "7", "7 is not (2n-1)!!"),
+        ],
+    )
+    def test_each_contradiction_is_named(self, capsys, tmp_path, variant, n, value, reason):
         cache = tmp_path / "counts.json"
-        run(capsys, ["count", "--max-n", "3", "--cache", str(cache)])
+        argv = ["count", "--max-n", "6", "--variant", variant, "--cache", str(cache)]
+        _, fresh, _ = run(capsys, argv)
         data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["3"] = "1"
+        data["counts"][variant][n] = value
         cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, ["bounds", "--max-n", "3", "--cache", str(cache)])
+        rc, out, err = run(capsys, argv)
+        assert rc == 0
+        assert out == fresh
+        assert err == f"warning: cache drops {variant} n={n}: {reason}\n"
+
+    # a cached count can no longer be impossible, so the guards in
+    # analysis are reached through a faulty kernel
+    def test_bounds_reject_count_below_proven_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "count_games_through", lambda n, max_states: [1, 2, 10, 1])
+        rc, out, err = run(capsys, ["bounds", "--max-n", "3"])
         assert rc == 1
         assert out == ""
         assert err == "error: count 1 at n=3 fell below the proven bound 15\n"
 
-    def test_ratio_rejects_nonpositive_cached_count(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        run(capsys, ["count", "--max-n", "3", "--cache", str(cache)])
-        data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["3"] = "0"
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, ["ratio", "--max-n", "3", "--cache", str(cache)])
+    def test_ratio_rejects_nonpositive_cached_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "count_games_through", lambda n, max_states: [1, 2, 10, 0])
+        rc, out, err = run(capsys, ["ratio", "--max-n", "3"])
         assert rc == 1
         assert out == ""
         assert err == "error: count must be positive\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from plates_olives import counting
 from plates_olives.counting import (
     WalkCounter,
     catalan,
@@ -117,20 +118,23 @@ class TestGameCounts:
 
 class TestWalkCounter:
     def test_layer_weight_support(self):
-        # every live state at layer k weighs at most min(1+k, 1+(S-k))
-        total = 12
-        counter = WalkCounter(
-            start=SINGLE_PLATE,
-            end=SINGLE_PLATE,
-            total_steps=total,
-            allow_interim_empty=False,
-        )
-        for k in range(1, total + 1):
-            counter.advance()
-            cap = min(1 + k, 1 + total - k)
-            for state, ways in counter.support():
-                assert state.weight <= cap
-                assert ways > 0
+        # every live state at layer k weighs at most min(1+k, 1+(S-k)); with
+        # an odd length the last layer could hold only the empty table
+        for total in (12, 11):
+            counter = WalkCounter(
+                start=SINGLE_PLATE,
+                end=SINGLE_PLATE,
+                total_steps=total,
+                allow_interim_empty=False,
+            )
+            for k in range(1, total + 1):
+                counter.advance()
+                cap = min(1 + k, 1 + total - k)
+                for state, ways in counter.support():
+                    assert state.weight <= cap
+                    assert ways > 0
+                    # interim empties are banned, the last step included
+                    assert state != EMPTY
 
     def test_advance_past_end_rejected(self):
         counter = WalkCounter(start=EMPTY, end=EMPTY, total_steps=0)
@@ -181,12 +185,45 @@ class TestWalkCounter:
                     nxt for _, nxt in legal_moves(state) if nxt.weight <= counter.max_weight
                 )
             assert len(counter._interner) == len(seen)
-            assert set(counter._interner) == seen
+            assert set(counter._interner) == {state.parts for state in seen}
             assert all(isinstance(counter._succ[sid], list) for sid in before)
             assert all(
                 isinstance(sid, int) and isinstance(ways, int) and ways > 0
                 for sid, ways in counter.layer.items()
             )
+
+
+    def test_counters_pinned_by_benchmark_selftest(self, monkeypatch):
+        # perfbench/selftest.py pins these for ``count --max-n 6``: a kernel
+        # change that moves them must fail here too
+        calls = 0
+        legal = counting.legal_moves
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return legal(*args, **kwargs)
+
+        advance = WalkCounter.advance
+        seen = {"traversed": 0, "peak": 0, "bits": 0}
+        counters = set()
+
+        def traced(counter):
+            before = list(counter.layer)
+            advance(counter)
+            counters.add(counter)
+            seen["traversed"] += sum(len(counter._succ[sid]) for sid in before)
+            seen["peak"] = max(seen["peak"], len(before), len(counter.layer))
+            bits = max(ways.bit_length() for ways in counter.layer.values())
+            seen["bits"] = max(seen["bits"], bits)
+
+        monkeypatch.setattr(counting, "legal_moves", counted)
+        monkeypatch.setattr(WalkCounter, "advance", traced)
+        assert count_games_through(6)[-1] == 152_099
+        (counter,) = counters
+        assert calls == 44
+        assert sum(map(len, counter._succ.values())) == 166
+        assert seen == {"traversed": 435, "peak": 26, "bits": 18}
 
 
 class TestClosedWalks:

@@ -6,6 +6,8 @@ from collections import Counter
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plates_olives.errors import IllegalMove
 from plates_olives.partitions import (
@@ -110,6 +112,20 @@ class TestMove:
         with pytest.raises(ValueError):
             Move.parse(bad)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (MoveKind.OLIVE_ADD_LATER, (True,)),
+            (MoveKind.OLIVE_REMOVE, (1.5,)),
+            (MoveKind.PLATE_REMOVE_COMPLEX, (True, 2)),
+            (MoveKind.PLATE_REMOVE_COMPLEX, (1, True)),
+        ],
+    )
+    def test_rejects_parameters_that_are_not_ints(self, kind, params):
+        # a bool is an int too, but O+l:True would apply as O+l:1
+        with pytest.raises(ValueError):
+            Move(kind, *params)
+
     def test_weight_delta(self):
         assert Move.parse("P+").weight_delta == 1
         assert Move.parse("O+l:1").weight_delta == 1
@@ -144,6 +160,40 @@ class TestLegalMoves:
         for state in partitions_up_to_weight(8):
             tokens = [m.token() for m, _ in legal_moves(state)]
             assert tokens == sorted(tokens)
+
+
+@st.composite
+def partitions(draw, max_weight=40):
+    """A random partition of weight at most ``max_weight``."""
+    parts = []
+    left = draw(st.integers(0, max_weight))
+    while left:
+        part = draw(st.integers(1, left))
+        parts.append(part)
+        left -= part
+    return Partition(tuple(parts))
+
+
+class TestSuccessorsUnvalidated:
+    # legal_moves builds successors without Partition's checks; these
+    # properties show each one is still canonical and agrees with apply_move
+    @settings(max_examples=300, deadline=None)
+    @given(partitions(), st.booleans())
+    def test_successors_are_canonical(self, state, allow_complex):
+        pairs = legal_moves(state, allow_complex)
+        tokens = [m.token() for m, _ in pairs]
+        assert all(a < b for a, b in zip(tokens, tokens[1:]))
+        for move, nxt in pairs:
+            assert nxt == Partition(nxt.parts)
+            assert type(nxt.parts) is tuple
+            assert all(type(p) is int and p >= 1 for p in nxt.parts)
+            assert all(a >= b for a, b in zip(nxt.parts, nxt.parts[1:]))
+            assert apply_move(state, move) == nxt
+        tally = Counter(m.kind for m, _ in pairs)
+        profile = move_capacity_profile(state)
+        if not allow_complex:
+            profile[MoveKind.PLATE_REMOVE_COMPLEX] = 0
+        assert {kind: tally[kind] for kind in MoveKind} == profile
 
 
 class TestApplyMove:
