@@ -21,24 +21,12 @@ from .analysis import (
 )
 from .counting import (
     WalkCounter,
-    catalan,
     count_closed_walks,
     count_closed_walks_through,
     count_games,
     count_games_through,
-    count_proper_dyck_paths,
     count_young_walks,
     count_young_walks_through,
-    count_zigzag_permutations,
-    double_factorial,
-    dyck_paths,
-    geometric_class_reference,
-    lift_young_walk,
-    tangent_numbers,
-    updown_numbers,
-    weighted_dyck_sum_by_dp,
-    weighted_dyck_sum_by_enumeration,
-    young_closed_walks,
 )
 from .errors import (
     CeilingExceeded,
@@ -58,11 +46,13 @@ from .games import (
     Skeleton,
     enumerate_games,
     game_stats,
+    lift_young_walk,
     olive_dyck_path,
     parse_game,
     skeleton,
     stats_histogram,
     validate_game,
+    young_closed_walks,
 )
 from .partitions import (
     DEFAULT_STATE_LIMIT,
@@ -77,6 +67,18 @@ from .partitions import (
     partitions_of_weight,
     partitions_up_to_weight,
     w_cap,
+)
+from .references import (
+    GEOMETRIC_CLASS_COUNTS,
+    catalan,
+    count_proper_dyck_paths,
+    count_zigzag_permutations,
+    double_factorial,
+    dyck_paths,
+    tangent_numbers,
+    updown_numbers,
+    weighted_dyck_sum_by_dp,
+    weighted_dyck_sum_by_enumeration,
 )
 
 __version__ = "1.0.0"

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
-from .counting import count_games_through, double_factorial
+from .counting import count_games_through
 from .errors import InvalidArgument, PlatesOlivesError
+from .references import double_factorial
 
 RATIO_PRECISION = 50
 

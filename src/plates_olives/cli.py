@@ -19,11 +19,12 @@ CSV with the header ``v_f,v_l,p_s,p_c,count``.
 
 A cache path set by ``--cache`` or the OLIVE_CACHE environment variable
 stores computed counts keyed by variant and n in a versioned JSON file;
-a version mismatch or unreadable file invalidates the whole cache.  A row
-that contradicts a known count (M_0..M_4, the closed values for n <= 4,
-(2n-1)!! for young, M_n >= (2n-1)!! beyond) is dropped with a warning on
-stderr and recomputed.  The ``--self-check`` flag recomputes cached values
-and fails on any drift.
+a version mismatch or unreadable file invalidates the whole cache, with a
+warning on stderr (a missing file is just empty).  A row that contradicts
+a known count (M_0..M_4, the closed values for n <= 4, (2n-1)!! for
+young, M_n >= (2n-1)!! beyond) is dropped with a warning on stderr, the
+file is rewritten without it, and the count is recomputed.  The
+``--self-check`` flag recomputes cached values and fails on any drift.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from decimal import Decimal, ROUND_HALF_EVEN
 from pathlib import Path
 from typing import IO, Sequence
 
-from . import analysis, counting, games, verify
+from . import analysis, counting, games, references, verify
 from .errors import PlatesOlivesError
 from .partitions import DEFAULT_STATE_LIMIT
 
@@ -69,7 +70,7 @@ def _contradiction(variant: str, n: int, count: int) -> str | None:
         return "n is negative"
     # (2n-1)!! >= 2**(n-1) > count once n - 1 > count.bit_length(), so a
     # huge n from the file needs no huge product
-    floor = None if n - 1 > count.bit_length() else counting.double_factorial(2 * n - 1)
+    floor = None if n - 1 > count.bit_length() else references.double_factorial(2 * n - 1)
     if variant == "young":
         return None if count == floor else f"{count} is not (2n-1)!!"
     known = _KNOWN_COUNTS[variant]
@@ -88,25 +89,29 @@ class CacheFile:
         self.counts: dict[str, dict[int, int]] = {v: {} for v in VARIANTS}
         self._load()
 
+    def _ignore(self, reason: str) -> None:
+        print(f"warning: cache {self.path} ignored: {reason}", file=sys.stderr)
+
     def _load(self) -> None:
         try:
             raw = json.loads(self.path.read_text())
-        except (OSError, ValueError):
+        except FileNotFoundError:
             return
-        if not isinstance(raw, dict) or raw.get("version") != CACHE_VERSION:
-            return
-        table = raw.get("counts")
-        if not isinstance(table, dict):
-            return
+        except OSError as exc:
+            return self._ignore(exc.strerror or "cannot be read")
+        except ValueError:
+            return self._ignore("not valid JSON")
         loaded: dict[str, dict[int, int]] = {v: {} for v in VARIANTS}
         try:
-            for variant, rows in table.items():
-                if variant not in VARIANTS:
-                    return
+            version = raw["version"]
+            if version != CACHE_VERSION:
+                return self._ignore(f"version {version!r} is not {CACHE_VERSION!r}")
+            for variant, rows in raw["counts"].items():
                 for key, value in rows.items():
                     loaded[variant][int(key)] = int(value)
-        except (TypeError, ValueError, AttributeError):
-            return
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return self._ignore("malformed counts table")
+        self.counts = loaded
         for variant, rows in loaded.items():
             dropped = []
             for n, count in sorted(rows.items()):
@@ -119,13 +124,8 @@ class CacheFile:
                     f"warning: cache drops {variant} {'; '.join(dropped)}",
                     file=sys.stderr,
                 )
-        self.counts = loaded
-
-    def get(self, variant: str, n: int) -> int | None:
-        return self.counts[variant].get(n)
-
-    def put(self, variant: str, n: int, count: int) -> None:
-        self.counts[variant][n] = count
+                # rewrite the file, so the row is not read and warned about again
+                self.save()
 
     def save(self) -> None:
         payload = {
@@ -164,7 +164,7 @@ def _resolve_counts(
     self_check: bool = False,
 ) -> list[int]:
     if cache is not None:
-        hits = [cache.get(variant, n) for n in range(max_n + 1)]
+        hits = [cache.counts[variant].get(n) for n in range(max_n + 1)]
         if all(h is not None for h in hits):
             if self_check:
                 fresh = _compute_counts(variant, max_n, max_states)
@@ -176,8 +176,7 @@ def _resolve_counts(
             return hits
     counts = _compute_counts(variant, max_n, max_states)
     if cache is not None:
-        for n, count in enumerate(counts):
-            cache.put(variant, n, count)
+        cache.counts[variant].update(enumerate(counts))
         cache.save()
     return counts
 

@@ -11,9 +11,7 @@ Two relatives of the game count share all of this machinery.  Closed
 walks from the empty partition back to itself (empty revisits allowed)
 count a coarser equivalence, and walks restricted to single-box moves are
 exactly the closed walks in Young's lattice, counted by the double
-factorial (2n - 1)!!.  Each Young walk lifts to a game by keeping one
-extra empty plate on the table throughout, which is how the double
-factorial becomes a lower bound for the game count.
+factorial (2n - 1)!!.
 
 Everything here returns plain Python integers, so results are exact at
 any size.
@@ -21,21 +19,8 @@ any size.
 
 from __future__ import annotations
 
-from itertools import permutations
-from math import comb
-from typing import Iterator, Sequence
-
-from .errors import InvalidArgument, InvalidWalk, ResourceLimit
-from .games import Game, validate_game
-from .partitions import (
-    DEFAULT_STATE_LIMIT,
-    EMPTY,
-    SINGLE_PLATE,
-    Move,
-    MoveKind,
-    Partition,
-    legal_moves,
-)
+from .errors import InvalidArgument, ResourceLimit
+from .partitions import DEFAULT_STATE_LIMIT, EMPTY, SINGLE_PLATE, Partition, legal_moves
 
 
 class WalkCounter:
@@ -274,229 +259,3 @@ def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
     return count_young_walks_through(length // 2, max_states=max_states)[-1]
-
-
-def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
-    """Every closed single-box walk of even ``length`` from the empty
-    partition, as state tuples, in lexicographic move order."""
-    if length < 0 or length % 2:
-        raise ValueError("walk length must be even and nonnegative")
-    walk: list[Partition] = [EMPTY]
-
-    def rec(state: Partition, left: int) -> Iterator[tuple[Partition, ...]]:
-        if left == 0:
-            yield tuple(walk)
-            return
-        for _, nxt in legal_moves(state, allow_complex=False):
-            if nxt.weight > left - 1:
-                continue
-            walk.append(nxt)
-            yield from rec(nxt, left - 1)
-            walk.pop()
-
-    yield from rec(EMPTY, length)
-
-
-def _single_box_move(before: Partition, after: Partition) -> Move:
-    """The move taking ``before`` to ``after`` when they differ by one box."""
-    for move, nxt in legal_moves(before, allow_complex=False):
-        if nxt == after:
-            return move
-    raise InvalidWalk(f"{before} -> {after} is not a single-box step")
-
-
-def lift_young_walk(walk: Sequence[Partition]) -> Game:
-    """Turn a closed Young walk into a game by parking one empty plate.
-
-    The walk must start and end empty and move one box at a time.  The
-    lifted game opens with P+ for the parked plate, replays the walk's
-    moves (each one stays legal with the extra plate present, and O+f
-    becomes legal exactly because of it), and closes with P-s.  Distinct
-    walks lift to distinct games, which bounds the game count from below
-    by the number of walks.
-    """
-    states = tuple(walk)
-    if len(states) % 2 == 0:
-        raise InvalidWalk("a closed walk has an odd number of states")
-    if not states[0].is_empty or not states[-1].is_empty:
-        raise InvalidWalk("walk must start and end at the empty partition")
-    moves = [Move(MoveKind.PLATE_ADD)]
-    for before, after in zip(states, states[1:]):
-        moves.append(_single_box_move(before, after))
-    moves.append(Move(MoveKind.PLATE_REMOVE_SIMPLE))
-    return validate_game(moves)
-
-
-def double_factorial(m: int) -> int:
-    """Product m(m-2)(m-4)... down to 1 or 2, with (-1)!! = 0!! = 1."""
-    if m < -1:
-        raise ValueError("double factorial needs m >= -1")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError("catalan needs n >= 0")
-    return comb(2 * n, n) // (n + 1)
-
-
-def count_proper_dyck_paths(n: int) -> int:
-    """Paths of length 2n + 2 that touch the axis only at their endpoints,
-    counted by exhaustive generation.  Equals catalan(n)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = 2 * n + 2
-
-    def rec(pos: int, h: int) -> int:
-        if pos == total:
-            return 1 if h == 0 else 0
-        left = total - pos
-        if h > left:
-            return 0
-        floor = 1 if pos + 1 < total else 0
-        found = rec(pos + 1, h + 1)
-        if h - 1 >= floor:
-            found += rec(pos + 1, h - 1)
-        return found
-
-    return rec(0, 0)
-
-
-def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
-    """All Dyck paths of the given semilength as +1/-1 step tuples."""
-    if semilength < 0:
-        raise ValueError("semilength must be nonnegative")
-    total = 2 * semilength
-    steps: list[int] = []
-
-    def rec(h: int) -> Iterator[tuple[int, ...]]:
-        if len(steps) == total:
-            yield tuple(steps)
-            return
-        if h < total - len(steps):
-            steps.append(1)
-            yield from rec(h + 1)
-            steps.pop()
-        if h > 0:
-            steps.append(-1)
-            yield from rec(h - 1)
-            steps.pop()
-
-    yield from rec(0)
-
-
-def weighted_dyck_sum_by_enumeration(v: int) -> int:
-    """Sum over Dyck paths of semilength v of the product, over up-steps,
-    of one plus the height the step leaves from."""
-    total = 0
-    for path in dyck_paths(v):
-        h = 0
-        prod = 1
-        for s in path:
-            if s == 1:
-                prod *= h + 1
-                h += 1
-            else:
-                h -= 1
-        total += prod
-    return total
-
-
-def weighted_dyck_sum_by_dp(v: int) -> int:
-    """Same sum as the enumeration, folded over (position, height)."""
-    if v < 0:
-        raise ValueError("semilength must be nonnegative")
-    cur = [0] * (v + 2)
-    cur[0] = 1
-    for pos in range(2 * v):
-        nxt = [0] * (v + 2)
-        for h in range(min(pos, v) + 1):
-            ways = cur[h]
-            if not ways:
-                continue
-            if h + 1 <= v:
-                nxt[h + 1] += ways * (h + 1)
-            if h:
-                nxt[h - 1] += ways
-        cur = nxt
-    return cur[0]
-
-
-def updown_numbers(limit: int) -> list[int]:
-    """Zig-zag (up-down) numbers E_0 .. E_limit by the boustrophedon
-    transform of the sequence 1, 0, 0, ..."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    out = [1]
-    row = [1]
-    for _ in range(limit):
-        prev = 0
-        nxt = [0]
-        for value in reversed(row):
-            prev += value
-            nxt.append(prev)
-        row = nxt
-        out.append(row[-1])
-    return out
-
-
-def tangent_numbers(n: int) -> int:
-    """The odd-indexed zig-zag number E_{2n+1}: 1, 2, 16, 272, 7936, ..."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return updown_numbers(2 * n + 1)[2 * n + 1]
-
-
-def _is_cyclic_zigzag(perm: tuple[int, ...]) -> bool:
-    # canonical representative: the minimum sits first, then values
-    # alternate valley/peak around the whole cycle
-    if perm[0] != 1:
-        return False
-    m = len(perm)
-    for idx in range(m):
-        here = perm[idx]
-        left = perm[idx - 1]
-        right = perm[(idx + 1) % m]
-        if idx % 2 == 0:
-            if not (here < left and here < right):
-                return False
-        elif not (here > left and here > right):
-            return False
-    return True
-
-
-def count_zigzag_permutations(size: int) -> int:
-    """Cyclically alternating permutations of {1..size} with the 1 first,
-    counted by filtering all size! permutations.  For even size = 2n + 2
-    this equals tangent_numbers(n)."""
-    if size < 2 or size % 2:
-        raise ValueError("size must be even and at least 2")
-    hits = 0
-    for perm in permutations(range(1, size + 1)):
-        if _is_cyclic_zigzag(perm):
-            hits += 1
-    return hits
-
-
-GEOMETRIC_CLASS_COUNTS: tuple[tuple[int, int], ...] = (
-    (0, 1),
-    (1, 2),
-    (2, 19),
-    (3, 428),
-    (4, 17746),
-)
-
-
-def geometric_class_reference() -> tuple[tuple[int, int], ...]:
-    """Reference counts of geometric equivalence classes of excellent Morse
-    functions on the sphere, for cross-reading against the game counts.
-
-    These classify up to homeomorphisms of both sphere and target, a finer
-    relation than the topological one the games count, so they are carried
-    as a fixed table and not computed here.
-    """
-    return GEOMETRIC_CLASS_COUNTS

@@ -9,6 +9,12 @@ removals the way balanced bracket sequences do.
 Games print as their move tokens separated by single spaces, one game per
 line, and the printed order of ``enumerate_games`` is lexicographic in
 those token sequences.
+
+Walks restricted to single-box moves are the closed walks in Young's
+lattice, counted by the double factorial (2n - 1)!!.  Each Young walk
+lifts to a game by keeping one extra empty plate on the table throughout,
+which is how the double factorial becomes a lower bound for the game
+count.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CeilingExceeded, InvalidArgument, NotClosed, PrematureEmpty
+from .errors import CeilingExceeded, InvalidArgument, InvalidWalk, NotClosed, PrematureEmpty
 from .partitions import EMPTY, Move, MoveKind, Partition, legal_moves, apply_move
 
 # Exhaustive enumeration grows like the game counts themselves; past this
@@ -231,3 +237,51 @@ def stats_histogram(
         key = game_stats(game).as_tuple()
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
+    """Every closed single-box walk of even ``length`` from the empty
+    partition, as state tuples, in lexicographic move order."""
+    if length < 0 or length % 2:
+        raise ValueError("walk length must be even and nonnegative")
+
+    def rec(walk: tuple[Partition, ...], left: int) -> Iterator[tuple[Partition, ...]]:
+        if left == 0:
+            yield walk
+            return
+        for _, nxt in legal_moves(walk[-1], allow_complex=False):
+            # must be able to drain back to the empty partition in time
+            if nxt.weight < left:
+                yield from rec((*walk, nxt), left - 1)
+
+    yield from rec((EMPTY,), length)
+
+
+def _single_box_move(before: Partition, after: Partition) -> Move:
+    """The move taking ``before`` to ``after`` when they differ by one box."""
+    for move, nxt in legal_moves(before, allow_complex=False):
+        if nxt == after:
+            return move
+    raise InvalidWalk(f"{before} -> {after} is not a single-box step")
+
+
+def lift_young_walk(walk: Sequence[Partition]) -> Game:
+    """Turn a closed Young walk into a game by parking one empty plate.
+
+    The walk must start and end empty and move one box at a time.  The
+    lifted game opens with P+ for the parked plate, replays the walk's
+    moves (each one stays legal with the extra plate present, and O+f
+    becomes legal exactly because of it), and closes with P-s.  Distinct
+    walks lift to distinct games, which bounds the game count from below
+    by the number of walks.
+    """
+    states = tuple(walk)
+    if len(states) % 2 == 0:
+        raise InvalidWalk("a closed walk has an odd number of states")
+    if not states[0].is_empty or not states[-1].is_empty:
+        raise InvalidWalk("walk must start and end at the empty partition")
+    moves = [Move(MoveKind.PLATE_ADD)]
+    for before, after in zip(states, states[1:]):
+        moves.append(_single_box_move(before, after))
+    moves.append(Move(MoveKind.PLATE_REMOVE_SIMPLE))
+    return validate_game(moves)

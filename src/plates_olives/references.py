@@ -1,0 +1,166 @@
+"""Reference sequences the counting DP is checked against.
+
+None of these routes touches the move graph: double factorials, Catalan
+numbers, Dyck path generation, the height-weighted Dyck sum (two routes),
+zig-zag numbers with a permutation filter, and the geometric class table.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+from math import comb
+from typing import Iterator
+
+
+def double_factorial(m: int) -> int:
+    """Product m(m-2)(m-4)... down to 1 or 2, with (-1)!! = 0!! = 1."""
+    if m < -1:
+        raise ValueError("double factorial needs m >= -1")
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
+def catalan(n: int) -> int:
+    if n < 0:
+        raise ValueError("catalan needs n >= 0")
+    return comb(2 * n, n) // (n + 1)
+
+
+def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
+    """All Dyck paths of the given semilength as +1/-1 step tuples."""
+    if semilength < 0:
+        raise ValueError("semilength must be nonnegative")
+    total = 2 * semilength
+    steps: list[int] = []
+
+    def rec(h: int) -> Iterator[tuple[int, ...]]:
+        if len(steps) == total:
+            yield tuple(steps)
+            return
+        if h < total - len(steps):
+            steps.append(1)
+            yield from rec(h + 1)
+            steps.pop()
+        if h > 0:
+            steps.append(-1)
+            yield from rec(h - 1)
+            steps.pop()
+
+    yield from rec(0)
+
+
+def count_proper_dyck_paths(n: int) -> int:
+    """Paths of length 2n + 2 that touch the axis only at their endpoints,
+    counted by generation: each is an up-step, a Dyck path of semilength n
+    lifted one level, and a down-step.  Equals catalan(n)."""
+    return sum(1 for _ in dyck_paths(n))
+
+
+def weighted_dyck_sum_by_enumeration(v: int) -> int:
+    """Sum over Dyck paths of semilength v of the product, over up-steps,
+    of one plus the height the step leaves from."""
+    total = 0
+    for path in dyck_paths(v):
+        h = 0
+        prod = 1
+        for s in path:
+            if s == 1:
+                prod *= h + 1
+                h += 1
+            else:
+                h -= 1
+        total += prod
+    return total
+
+
+def weighted_dyck_sum_by_dp(v: int) -> int:
+    """Same sum as the enumeration, folded over (position, height)."""
+    if v < 0:
+        raise ValueError("semilength must be nonnegative")
+    cur = [0] * (v + 2)
+    cur[0] = 1
+    for pos in range(2 * v):
+        nxt = [0] * (v + 2)
+        for h in range(min(pos, v) + 1):
+            ways = cur[h]
+            if not ways:
+                continue
+            if h + 1 <= v:
+                nxt[h + 1] += ways * (h + 1)
+            if h:
+                nxt[h - 1] += ways
+        cur = nxt
+    return cur[0]
+
+
+def updown_numbers(limit: int) -> list[int]:
+    """Zig-zag (up-down) numbers E_0 .. E_limit by the boustrophedon
+    transform of the sequence 1, 0, 0, ..."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    out = [1]
+    row = [1]
+    for _ in range(limit):
+        prev = 0
+        nxt = [0]
+        for value in reversed(row):
+            prev += value
+            nxt.append(prev)
+        row = nxt
+        out.append(row[-1])
+    return out
+
+
+def tangent_numbers(n: int) -> int:
+    """The odd-indexed zig-zag number E_{2n+1}: 1, 2, 16, 272, 7936, ..."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return updown_numbers(2 * n + 1)[2 * n + 1]
+
+
+def _is_cyclic_zigzag(perm: tuple[int, ...]) -> bool:
+    # canonical representative: the minimum sits first, then values
+    # alternate valley/peak around the whole cycle
+    if perm[0] != 1:
+        return False
+    m = len(perm)
+    for idx in range(m):
+        here = perm[idx]
+        left = perm[idx - 1]
+        right = perm[(idx + 1) % m]
+        if idx % 2 == 0:
+            if not (here < left and here < right):
+                return False
+        elif not (here > left and here > right):
+            return False
+    return True
+
+
+def count_zigzag_permutations(size: int) -> int:
+    """Cyclically alternating permutations of {1..size} with the 1 first,
+    counted by filtering all size! permutations.  For even size = 2n + 2
+    this equals tangent_numbers(n)."""
+    if size < 2 or size % 2:
+        raise ValueError("size must be even and at least 2")
+    hits = 0
+    for perm in permutations(range(1, size + 1)):
+        if _is_cyclic_zigzag(perm):
+            hits += 1
+    return hits
+
+
+# Reference counts of geometric equivalence classes of excellent Morse
+# functions on the sphere, for cross-reading against the game counts.
+# These classify up to homeomorphisms of both sphere and target, a finer
+# relation than the topological one the games count, so they are carried
+# as a fixed table and not computed here.
+GEOMETRIC_CLASS_COUNTS: tuple[tuple[int, int], ...] = (
+    (0, 1),
+    (1, 2),
+    (2, 19),
+    (3, 428),
+    (4, 17746),
+)

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
+from typing import Callable
 
-from . import analysis, counting, games, partitions
+from . import analysis, counting, games, partitions, references
 from .errors import InvalidArgument, PlatesOlivesError
 from .partitions import DEFAULT_STATE_LIMIT, MoveKind
 
@@ -42,6 +44,8 @@ TANGENT_TABLE = (1, 2, 16, 272, 7936)
 CATALAN_TABLE = (1, 1, 2, 5, 14)
 RATIO_AT_18 = Decimal("1.09206")
 RATIO_TOLERANCE = Decimal("0.00001")
+# the per-game claims are checked on every game up to this length
+CLAIMS_MAX_N = 6
 
 
 @dataclass
@@ -109,18 +113,18 @@ def suite_paper_values(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResul
         f"renewal over game counts gives {renewal}",
     )
 
-    tangent = tuple(counting.tangent_numbers(n) for n in range(5))
+    tangent = tuple(references.tangent_numbers(n) for n in range(5))
     _check(out, "tangent-numbers-0-4", tangent == TANGENT_TABLE, f"got {tangent}")
 
     _check(
         out,
         "geometric-class-table",
-        counting.geometric_class_reference()
+        references.GEOMETRIC_CLASS_COUNTS
         == ((0, 1), (1, 2), (2, 19), (3, 428), (4, 17746)),
         "fixed reference table",
     )
 
-    cats = tuple(counting.catalan(n) for n in range(5))
+    cats = tuple(references.catalan(n) for n in range(5))
     _check(out, "catalan-0-4", cats == CATALAN_TABLE, f"got {cats}")
 
     m18 = counting.count_games(18, max_states=max_states)
@@ -136,42 +140,39 @@ def suite_paper_values(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResul
 
 def suite_identities() -> list[CheckResult]:
     out: list[CheckResult] = []
-    brute = [counting.weighted_dyck_sum_by_enumeration(v) for v in range(13)]
+    double_factorial = references.double_factorial
+    brute = [references.weighted_dyck_sum_by_enumeration(v) for v in range(13)]
+    dp = [references.weighted_dyck_sum_by_dp(v) for v in range(201)]
     _check(
         out,
         "weighted-dyck-brute-vs-double-factorial",
-        all(brute[v] == counting.double_factorial(2 * v - 1) for v in range(13)),
+        all(brute[v] == double_factorial(2 * v - 1) for v in range(13)),
         "v <= 12 by path enumeration",
     )
     _check(
         out,
         "weighted-dyck-dp-vs-double-factorial",
-        all(
-            counting.weighted_dyck_sum_by_dp(v) == counting.double_factorial(2 * v - 1)
-            for v in range(201)
-        ),
+        all(dp[v] == double_factorial(2 * v - 1) for v in range(201)),
         "v <= 200 by dynamic program",
     )
     _check(
         out,
         "weighted-dyck-brute-vs-dp",
-        all(brute[v] == counting.weighted_dyck_sum_by_dp(v) for v in range(13)),
+        brute == dp[:13],
         "dual routes agree where both run",
     )
+    young = counting.count_young_walks_through(10)
     _check(
         out,
         "young-walks-vs-double-factorial",
-        all(
-            counting.count_young_walks(2 * n) == counting.double_factorial(2 * n - 1)
-            for n in range(11)
-        ),
+        all(young[n] == double_factorial(2 * n - 1) for n in range(11)),
         "lengths 0..20",
     )
     _check(
         out,
         "proper-dyck-vs-catalan",
         all(
-            counting.count_proper_dyck_paths(n) == counting.catalan(n)
+            references.count_proper_dyck_paths(n) == references.catalan(n)
             for n in range(11)
         ),
         "n <= 10 by path generation",
@@ -180,30 +181,48 @@ def suite_identities() -> list[CheckResult]:
         out,
         "zigzag-filter-vs-tangent",
         all(
-            counting.count_zigzag_permutations(2 * n + 2) == counting.tangent_numbers(n)
+            references.count_zigzag_permutations(2 * n + 2) == references.tangent_numbers(n)
             for n in range(4)
         ),
         "permutation sizes 2, 4, 6, 8",
     )
-    slow = 1
-    ok = True
-    for m in range(-1, 36):
-        fast = counting.double_factorial(m)
-        if m >= 1:
-            slow = m * counting.double_factorial(m - 2)
-            ok = ok and fast == slow
-    _check(out, "double-factorial-recurrence", ok, "m <= 35")
+    _check(
+        out,
+        "double-factorial-recurrence",
+        all(double_factorial(m) == m * double_factorial(m - 2) for m in range(1, 36)),
+        "m <= 35",
+    )
     return out
 
 
-def suite_oracle(
-    ceiling: int = games.DEFAULT_ORACLE_CEILING,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> list[CheckResult]:
+# one pass over the games of length n: their number, then the detail of the
+# first game breaking each per-game claim (None if none does, or unchecked)
+SweepResult = tuple[int, str | None, str | None]
+Sweep = Callable[[int], SweepResult]
+
+
+def _sweep_games(n: int, ceiling: int, claims: bool) -> SweepResult:
+    """Enumerate the games of length n once; with ``claims`` set, also
+    check the per-game claims on each of them."""
+    stream = games.enumerate_games(n, ceiling=ceiling)
+    if not claims:
+        return sum(1 for _ in stream), None, None
+    seen = 0
+    bad_tally = bad_dyck = None
+    for seen, game in enumerate(stream, 1):
+        stats = games.game_stats(game)
+        if bad_tally is None and (stats.v + stats.p != n or stats.p_c > stats.v_f):
+            bad_tally = f"stats violation in {game.text}"
+        if bad_dyck is None and games.olive_dyck_path(game).semilength != stats.v:
+            bad_dyck = f"dyck semilength mismatch in {game.text}"
+    return seen, bad_tally, bad_dyck
+
+
+def suite_oracle(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     counts = counting.count_games_through(ceiling, max_states=max_states)
     for n in range(ceiling + 1):
-        seen = sum(1 for _ in games.enumerate_games(n, ceiling=ceiling))
+        seen = sweep(n)[0]
         _check(
             out,
             f"enumeration-vs-dp-n{n}",
@@ -219,7 +238,7 @@ def suite_bounds(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
     _check(
         out,
         "double-factorial-lower-bound",
-        all(counts[n] >= counting.double_factorial(2 * n - 1) for n in range(1, 19)),
+        all(counts[n] >= references.double_factorial(2 * n - 1) for n in range(1, 19)),
         "M_n >= (2n-1)!! for n <= 18",
     )
     table = analysis.ratio_table(18, counts=counts)
@@ -244,7 +263,7 @@ def suite_bounds(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
     return out
 
 
-def suite_claims(ceiling: int = games.DEFAULT_ORACLE_CEILING) -> list[CheckResult]:
+def suite_claims(ceiling: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     cap_ok = True
     profile_ok = True
@@ -277,41 +296,34 @@ def suite_claims(ceiling: int = games.DEFAULT_ORACLE_CEILING) -> list[CheckResul
     _check(out, "profile-matches-legal-moves", profile_ok, "weight <= 20")
     _check(out, "transition-graph-simple", simple_ok, "weight <= 20")
 
-    games_ok = True
-    dyck_ok = True
-    detail = ""
-    for n in range(min(ceiling, 6) + 1):
-        for game in games.enumerate_games(n, ceiling=ceiling):
-            stats = games.game_stats(game)
-            if stats.v + stats.p != n or stats.p_c > stats.v_f:
-                games_ok = False
-                detail = f"stats violation in {game.text}"
-            path = games.olive_dyck_path(game)
-            if path.semilength != stats.v:
-                dyck_ok = False
-                detail = f"dyck semilength mismatch in {game.text}"
+    top = min(ceiling, CLAIMS_MAX_N)
+    bad_tally = bad_dyck = None
+    for n in range(top + 1):
+        _, tally, dyck = sweep(n)
+        bad_tally, bad_dyck = bad_tally or tally, bad_dyck or dyck
     _check(
         out,
         "per-game-move-tallies",
-        games_ok,
-        detail or f"v + p = n and p_c <= v_f, n <= {min(ceiling, 6)}",
+        not bad_tally,
+        bad_tally or f"v + p = n and p_c <= v_f, n <= {top}",
     )
     _check(
         out,
         "olive-dyck-projection",
-        dyck_ok,
-        detail or "nonnegative, balanced, semilength v",
+        not bad_dyck,
+        bad_dyck or "nonnegative, balanced, semilength v",
     )
     return out
 
 
-# every suite is called as suite(ceiling, max_states)
+# every suite is called as suite(ceiling, max_states, sweep), where sweep is
+# the run's shared pass over the games of each length
 SUITES = {
-    "paper-values": lambda ceiling, max_states: suite_paper_values(max_states),
-    "identities": lambda ceiling, max_states: suite_identities(),
-    "oracle": lambda ceiling, max_states: suite_oracle(ceiling, max_states),
-    "bounds": lambda ceiling, max_states: suite_bounds(max_states),
-    "claims": lambda ceiling, max_states: suite_claims(ceiling),
+    "paper-values": lambda ceiling, max_states, sweep: suite_paper_values(max_states),
+    "identities": lambda ceiling, max_states, sweep: suite_identities(),
+    "oracle": suite_oracle,
+    "bounds": lambda ceiling, max_states, sweep: suite_bounds(max_states),
+    "claims": lambda ceiling, max_states, sweep: suite_claims(ceiling, sweep),
 }
 
 
@@ -320,11 +332,17 @@ def run_suites(
     ceiling: int = games.DEFAULT_ORACLE_CEILING,
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> list[tuple[str, CheckResult]]:
-    """Run the named suites in order; results are (suite, check) pairs."""
+    """Run the named suites in order; results are (suite, check) pairs.
+
+    The games of each length are enumerated at most once per run, and the
+    per-game claims ride along on that pass only when ``claims`` is run.
+    """
     if ceiling < 0:
         raise InvalidArgument("oracle ceiling must be nonnegative")
+    claims = "claims" in names
+    sweep = cache(lambda n: _sweep_games(n, ceiling, claims and n <= CLAIMS_MAX_N))
     out: list[tuple[str, CheckResult]] = []
     for name in names:
-        for result in SUITES[name](ceiling, max_states):
+        for result in SUITES[name](ceiling, max_states, sweep):
             out.append((name, result))
     return out

@@ -15,28 +15,30 @@ from plates_olives.counting import (
     count_closed_walks_through,
     count_games,
     count_games_through,
-    count_proper_dyck_paths,
     count_young_walks,
-    count_zigzag_permutations,
-    double_factorial,
-    catalan,
-    lift_young_walk,
-    tangent_numbers,
-    weighted_dyck_sum_by_dp,
-    weighted_dyck_sum_by_enumeration,
-    young_closed_walks,
 )
 from plates_olives.games import (
     enumerate_games,
     game_stats,
+    lift_young_walk,
     olive_dyck_path,
     validate_game,
+    young_closed_walks,
 )
 from plates_olives.partitions import (
     legal_moves,
     move_capacity_profile,
     partitions_up_to_weight,
     w_cap,
+)
+from plates_olives.references import (
+    catalan,
+    count_proper_dyck_paths,
+    count_zigzag_permutations,
+    double_factorial,
+    tangent_numbers,
+    weighted_dyck_sum_by_dp,
+    weighted_dyck_sum_by_enumeration,
 )
 from plates_olives.verify import renewal_closed_counts
 

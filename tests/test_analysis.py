@@ -12,7 +12,8 @@ from plates_olives.analysis import (
     nth_root_ratio,
     ratio_table,
 )
-from plates_olives.counting import count_games_through, double_factorial
+from plates_olives.counting import count_games_through
+from plates_olives.references import double_factorial
 
 SIX = Decimal("0.000001")
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from plates_olives import counting
+from plates_olives import counting, games
 from plates_olives.cli import main
 from plates_olives.counting import count_games
-from plates_olives.games import parse_game
+from plates_olives.games import DyckPath, enumerate_games, parse_game
 
 GOLDEN_COUNT_TABLE = "n  count\n0      1\n1      2\n2     10\n3     76\n4    772\n"
 # SHA-256 of the full ``verify`` stdout, the same digest the benchmark pins
@@ -183,9 +184,19 @@ class TestVerifyCommand:
         assert lines[-1] == "OK: 0 failed"
         assert all(line.startswith("PASS [paper-values] ") for line in lines[:-1])
 
-    def test_all_suites(self, capsys):
+    def test_all_suites(self, capsys, monkeypatch):
+        real = games.enumerate_games
+        lengths = []
+
+        def counted(n, ceiling):
+            lengths.append(n)
+            return real(n, ceiling=ceiling)
+
+        monkeypatch.setattr(games, "enumerate_games", counted)
         rc, out, _ = run(capsys, ["verify"])
         assert rc == 0
+        # the oracle and claims suites share one pass per game length
+        assert sorted(lengths) == list(range(games.DEFAULT_ORACLE_CEILING + 1))
         lines = out.splitlines()
         assert lines[-1] == "OK: 0 failed"
         suites = {line.split("[", 1)[1].split("]")[0] for line in lines[:-1]}
@@ -197,6 +208,50 @@ class TestVerifyCommand:
         assert rc == 1
         assert out == ""
         assert err == "error: oracle ceiling must be nonnegative\n"
+
+    def test_wrong_count_fails_oracle(self, capsys, monkeypatch):
+        real = counting.count_games_through
+
+        def off_by_one(max_n, max_states):
+            counts = real(max_n, max_states=max_states)
+            counts[3] += 1
+            return counts
+
+        monkeypatch.setattr(counting, "count_games_through", off_by_one)
+        rc, out, _ = run(capsys, ["verify", "--suite", "oracle"])
+        assert rc == 1
+        assert "FAIL [oracle] enumeration-vs-dp-n3: enumerated 76, counted 77\n" in out
+        assert out.endswith("FAIL: 1 failed\n")
+
+    def test_each_claim_names_its_own_first_offender(self, capsys, monkeypatch):
+        real_stats, real_path = games.game_stats, games.olive_dyck_path
+
+        def stats(game):
+            # one merge too many is an impossible tally: v + p = n + 1
+            tally = real_stats(game)
+            return replace(tally, p_c=tally.p_c + 1) if tally.p_c else tally
+
+        def path(game):
+            real = real_path(game)
+            return DyckPath((1, -1) * (real.semilength + 1)) if game.n == 2 else real
+
+        monkeypatch.setattr(games, "game_stats", stats)
+        monkeypatch.setattr(games, "olive_dyck_path", path)
+        first_merge = next(
+            g.text for n in range(7) for g in enumerate_games(n) if "P-c" in g.text
+        )
+        first_of_two = next(enumerate_games(2)).text
+        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
+        assert rc == 1
+        assert (
+            f"FAIL [claims] per-game-move-tallies: stats violation in {first_merge}\n"
+            in out
+        )
+        assert (
+            "FAIL [claims] olive-dyck-projection: dyck semilength mismatch in "
+            f"{first_of_two}\n" in out
+        )
+        assert out.endswith("FAIL: 2 failed\n")
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -319,6 +374,22 @@ class TestCache:
         assert err == "error: max_n must be at least 1\n"
         assert not cache.exists()
 
+    def test_dropped_row_is_removed_from_file(self, capsys, tmp_path):
+        # the bad row lies outside the requested range, so only the drop
+        # itself can rewrite the file
+        cache = tmp_path / "counts.json"
+        argv = ["count", "--max-n", "6", "--variant", "young", "--cache", str(cache)]
+        _, fresh, _ = run(capsys, argv)
+        data = json.loads(cache.read_text())
+        data["counts"]["young"]["1000000000"] = "7"
+        cache.write_text(json.dumps(data))
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (0, fresh)
+        assert err == "warning: cache drops young n=1000000000: 7 is not (2n-1)!!\n"
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (0, fresh, "")
+        assert "1000000000" not in json.loads(cache.read_text())["counts"]["young"]
+
     def test_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"
         argv = ["count", "--max-n", "3", "--cache", str(cache)]
@@ -327,18 +398,35 @@ class TestCache:
         data["version"] = "0"
         data["counts"]["first-return"]["3"] = "999"
         cache.write_text(json.dumps(data))
-        rc, out, _ = run(capsys, argv)
+        rc, out, err = run(capsys, argv)
         assert rc == 0
         assert out == "n  count\n0      1\n1      2\n2     10\n3     76\n"
+        assert err == f"warning: cache {cache} ignored: version '0' is not '1'\n"
         assert json.loads(cache.read_text())["version"] == "1"
 
     def test_garbage_file_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"
         cache.write_text("not json at all")
-        rc, out, _ = run(capsys, ["count", "--max-n", "2", "--cache", str(cache)])
+        rc, out, err = run(capsys, ["count", "--max-n", "2", "--cache", str(cache)])
         assert rc == 0
         assert out.splitlines()[-1] == "2     10"
+        assert err == f"warning: cache {cache} ignored: not valid JSON\n"
         assert json.loads(cache.read_text())["counts"]["first-return"]["2"] == "10"
+
+    def test_malformed_table_invalidates(self, capsys, tmp_path):
+        cache = tmp_path / "counts.json"
+        cache.write_text(json.dumps({"version": "1", "counts": {"first-return": ["10"]}}))
+        rc, out, err = run(capsys, ["count", "--max-n", "2", "--cache", str(cache)])
+        assert rc == 0
+        assert out.splitlines()[-1] == "2     10"
+        assert err == f"warning: cache {cache} ignored: malformed counts table\n"
+        assert json.loads(cache.read_text())["counts"]["first-return"]["2"] == "10"
+
+    def test_missing_file_is_silent(self, capsys, tmp_path):
+        cache = tmp_path / "counts.json"
+        rc, out, err = run(capsys, ["count", "--max-n", "4", "--cache", str(cache)])
+        assert (rc, out, err) == (0, GOLDEN_COUNT_TABLE, "")
+        assert cache.exists()
 
     def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.json"

@@ -7,28 +7,33 @@ import pytest
 from plates_olives import counting
 from plates_olives.counting import (
     WalkCounter,
-    catalan,
     count_closed_walks,
     count_closed_walks_through,
     count_games,
     count_games_through,
-    count_proper_dyck_paths,
     count_young_walks,
     count_young_walks_through,
+)
+from plates_olives.errors import InvalidWalk, ResourceLimit
+from plates_olives.games import (
+    enumerate_games,
+    lift_young_walk,
+    validate_game,
+    young_closed_walks,
+)
+from plates_olives.partitions import EMPTY, SINGLE_PLATE, Partition, legal_moves
+from plates_olives.references import (
+    GEOMETRIC_CLASS_COUNTS,
+    catalan,
+    count_proper_dyck_paths,
     count_zigzag_permutations,
     double_factorial,
     dyck_paths,
-    geometric_class_reference,
-    lift_young_walk,
     tangent_numbers,
     updown_numbers,
     weighted_dyck_sum_by_dp,
     weighted_dyck_sum_by_enumeration,
-    young_closed_walks,
 )
-from plates_olives.errors import InvalidWalk, ResourceLimit
-from plates_olives.games import enumerate_games, validate_game
-from plates_olives.partitions import EMPTY, SINGLE_PLATE, Partition, legal_moves
 
 GOLDEN_COUNTS = (1, 2, 10, 76, 772)
 
@@ -407,7 +412,7 @@ class TestTangent:
 
 
 def test_geometric_class_reference():
-    table = geometric_class_reference()
+    table = GEOMETRIC_CLASS_COUNTS
     assert table == ((0, 1), (1, 2), (2, 19), (3, 428), (4, 17746))
     assert dict(table)[2] == 19
 

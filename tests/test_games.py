@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plates_olives.errors import (
     CeilingExceeded,
@@ -22,13 +24,36 @@ from plates_olives.games import (
     stats_histogram,
     validate_game,
 )
-from plates_olives.partitions import EMPTY, Move, MoveKind
+from plates_olives.partitions import EMPTY, Move, MoveKind, legal_moves
 
 # the two games of length 1: all plates, and one olive in and out
 TWO_PLATES = "P+ P+ P-s P-s"
 ONE_OLIVE = "P+ O+f O-:1 P-s"
 
 GOLDEN_COUNTS = (1, 2, 10, 76, 772)
+
+
+@st.composite
+def closed_walks(draw, max_out=30):
+    """Moves and states of a random game: P+, random legal moves that keep
+    off the empty table, random weight-lowering ones back down to <1>, and
+    the closing P-s.  Every choice is drawn from ``legal_moves``."""
+    moves, states = [], [EMPTY]
+
+    def step(keep):
+        options = [(m, q) for m, q in legal_moves(states[-1]) if keep(q)]
+        move, nxt = draw(st.sampled_from(options))
+        moves.append(move)
+        states.append(nxt)
+
+    step(lambda q: True)
+    for _ in range(draw(st.integers(0, max_out))):
+        step(lambda q: not q.is_empty)
+    while states[-1].weight > 1:
+        here = states[-1].weight
+        step(lambda q: 0 < q.weight < here)
+    step(lambda q: q.is_empty)
+    return moves, states
 
 
 class TestValidateGame:
@@ -82,6 +107,15 @@ class TestValidateGame:
                 assert not any(p.is_empty for p in game.trace[1:-1])
                 adds = sum(1 for m in game.moves if m.weight_delta == 1)
                 assert adds - 1 == n
+
+
+    @settings(deadline=None)
+    @given(closed_walks())
+    def test_random_legal_walks_validate_and_round_trip(self, walk):
+        moves, states = walk
+        game = validate_game(moves)
+        assert game.trace == tuple(states)
+        assert parse_game(game.text) == game
 
 
 class TestEnumerate:

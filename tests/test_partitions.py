@@ -196,6 +196,28 @@ class TestSuccessorsUnvalidated:
         assert {kind: tally[kind] for kind in MoveKind} == profile
 
 
+@st.composite
+def moves(draw):
+    """A random move, with olive counts well past any table in the tests."""
+    kind = draw(st.sampled_from(MoveKind))
+    count = st.integers(1, 10**6)
+    if kind in (MoveKind.OLIVE_ADD_LATER, MoveKind.OLIVE_REMOVE):
+        return Move(kind, draw(count))
+    if kind is MoveKind.PLATE_REMOVE_COMPLEX:
+        return Move(kind, draw(count), draw(count))
+    return Move(kind)
+
+
+class TestParseRoundTrip:
+    @given(moves())
+    def test_move(self, move):
+        assert Move.parse(move.token()) == move
+
+    @given(partitions())
+    def test_partition(self, state):
+        assert Partition.parse(str(state)) == state
+
+
 class TestApplyMove:
     @pytest.mark.parametrize(
         "state, token, result",
