@@ -43,7 +43,6 @@ from .games import (
     DyckPath,
     Game,
     GameStats,
-    Skeleton,
     enumerate_games,
     game_stats,
     lift_young_walk,

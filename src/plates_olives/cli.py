@@ -20,7 +20,8 @@ CSV with the header ``v_f,v_l,p_s,p_c,count``.
 A cache path set by ``--cache`` or the OLIVE_CACHE environment variable
 stores computed counts keyed by variant and n in a versioned JSON file;
 a version mismatch or unreadable file invalidates the whole cache, with a
-warning on stderr (a missing file is just empty).  A row that contradicts
+warning on stderr (a missing file is just empty), and a file that cannot
+be written is left as it was, also with a warning.  A row that contradicts
 a known count (M_0..M_4, the closed values for n <= 4, (2n-1)!! for
 young, M_n >= (2n-1)!! beyond) is dropped with a warning on stderr, the
 file is rewritten without it, and the count is recomputed.  The
@@ -34,9 +35,10 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from decimal import Decimal, ROUND_HALF_EVEN
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import analysis, counting, games, references, verify
 from .errors import PlatesOlivesError
@@ -81,6 +83,16 @@ def _contradiction(variant: str, n: int, count: int) -> str | None:
     return None
 
 
+def _decimal_int(text: object) -> int:
+    """The int a cache key or count spells.  Only a string that prints
+    back, which is all ``save()`` writes, is accepted."""
+    if isinstance(text, str):
+        value = int(text)
+        if str(value) == text:
+            return value
+    raise ValueError(f"{text!r} is not a decimal integer")
+
+
 class CacheFile:
     """Versioned JSON store of computed counts, keyed by (variant, n)."""
 
@@ -108,7 +120,7 @@ class CacheFile:
                 return self._ignore(f"version {version!r} is not {CACHE_VERSION!r}")
             for variant, rows in raw["counts"].items():
                 for key, value in rows.items():
-                    loaded[variant][int(key)] = int(value)
+                    loaded[variant][_decimal_int(key)] = _decimal_int(value)
         except (AttributeError, KeyError, TypeError, ValueError):
             return self._ignore("malformed counts table")
         self.counts = loaded
@@ -136,16 +148,25 @@ class CacheFile:
                 if rows
             },
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name)
+        tmp = None
         try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name)
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle, indent=1, sort_keys=True)
                 handle.write("\n")
             os.replace(tmp, self.path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            tmp = None
+        except OSError as exc:
+            # the counts are already computed; a cache that cannot be
+            # written only costs the next run a recount
+            print(
+                f"warning: cache {self.path} not saved: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+        finally:
+            if tmp is not None:
+                os.unlink(tmp)
 
 
 def _compute_counts(variant: str, max_n: int, max_states: int) -> list[int]:
@@ -164,8 +185,13 @@ def _resolve_counts(
     self_check: bool = False,
 ) -> list[int]:
     if cache is not None:
-        hits = [cache.counts[variant].get(n) for n in range(max_n + 1)]
-        if all(h is not None for h in hits):
+        rows = cache.counts[variant]
+        # stop at the first missing row, so a huge max_n reaches the
+        # counter's state budget without max_n lookups first
+        hits: list[int] = []
+        while len(hits) <= max_n and len(hits) in rows:
+            hits.append(rows[len(hits)])
+        if len(hits) == max_n + 1:
             if self_check:
                 fresh = _compute_counts(variant, max_n, max_states)
                 if fresh != hits:
@@ -179,6 +205,22 @@ def _resolve_counts(
         cache.counts[variant].update(enumerate(counts))
         cache.save()
     return counts
+
+
+def _record(pairs: Iterable[tuple[str, object]], decimal_cell=_six) -> dict:
+    """A JSON-ready record from a row's (name, value) pairs: ``n`` and
+    flags stay JSON values, any other int is an exact count written as its
+    decimal string, strings pass through, and Decimals print through
+    ``decimal_cell``."""
+    record = {}
+    for name, value in pairs:
+        if name != "n" and not isinstance(value, bool):
+            if isinstance(value, int):
+                value = str(value)
+            elif isinstance(value, Decimal):
+                value = decimal_cell(value)
+        record[name] = value
+    return record
 
 
 def _emit_rows(
@@ -219,7 +261,7 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
         args.variant, args.max_n, args.max_states, _open_cache(args), args.self_check
     )
     records = [
-        {"n": n, "count": str(c), "variant": args.variant}
+        _record((("n", n), ("count", c), ("variant", args.variant)))
         for n, c in enumerate(counts)
     ]
     _emit_rows(("n", "count"), records, args.format, out)
@@ -234,15 +276,18 @@ def cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> int:
     elif args.emit == "skeletons":
         seen = set()
         for game in stream:
-            text = games.skeleton(game).text
+            text = " ".join(games.skeleton(game))
             if text not in seen:
                 seen.add(text)
                 out.write(text + "\n")
     else:
         histogram = games.stats_histogram(args.n, ceiling=args.oracle_ceiling)
-        out.write("v_f,v_l,p_s,p_c,count\n")
-        for key in sorted(histogram):
-            out.write(",".join(str(x) for x in key) + f",{histogram[key]}\n")
+        headers = (*games.GameStats._fields, "count")
+        records = [
+            _record(zip(headers, (*stats, count)))
+            for stats, count in sorted(histogram.items())
+        ]
+        _emit_rows(headers, records, "csv", out)
     return 0
 
 
@@ -262,41 +307,16 @@ def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     return 1 if failures else 0
 
 
-def cmd_ratio(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_table(args: argparse.Namespace, out: IO[str]) -> int:
+    """The ``ratio`` and ``bounds`` tables: one record per report row,
+    keyed by the report's fields in order."""
     analysis.check_table_size(args.max_n)
     counts = _resolve_counts(
         "first-return", args.max_n, args.max_states, _open_cache(args)
     )
     records = [
-        {
-            "n": r.n,
-            "count": str(r.count),
-            "ratio": _six(r.ratio),
-            "lower_envelope": _six(r.lower_envelope),
-            "upper_envelope": _six(r.upper_envelope),
-            "monotone_violation": r.monotone_violation,
-        }
-        for r in analysis.ratio_table(args.max_n, counts=counts)
-    ]
-    _emit_rows(list(records[0]), records, args.format, out)
-    return 0
-
-
-def cmd_bounds(args: argparse.Namespace, out: IO[str]) -> int:
-    analysis.check_table_size(args.max_n)
-    counts = _resolve_counts(
-        "first-return", args.max_n, args.max_states, _open_cache(args)
-    )
-    records = [
-        {
-            "n": r.n,
-            "count": str(r.count),
-            "double_factorial_lower": str(r.double_factorial_lower),
-            "envelope_lower": _sci(r.envelope_lower),
-            "envelope_upper": _sci(r.envelope_upper),
-            "crude_envelope": str(r.crude_envelope),
-        }
-        for r in analysis.bound_table(args.max_n, counts=counts)
+        _record(asdict(row).items(), args.decimal_cell)
+        for row in args.table(args.max_n, counts=counts)
     ]
     _emit_rows(list(records[0]), records, args.format, out)
     return 0
@@ -358,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio = sub.add_parser("ratio", help="growth-ratio table r_n = M_n^(1/n)/n")
     p_ratio.add_argument("--max-n", type=int, required=True)
     _add_common(p_ratio)
-    p_ratio.set_defaults(func=cmd_ratio)
+    p_ratio.set_defaults(func=cmd_table, table=analysis.ratio_table, decimal_cell=_six)
 
     p_bounds = sub.add_parser("bounds", help="counts against bounds and envelopes")
     p_bounds.add_argument("--max-n", type=int, required=True)
     _add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=cmd_table, table=analysis.bound_table, decimal_cell=_sci)
 
     return parser
 

@@ -219,28 +219,23 @@ def count_games(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
 
 
 def count_closed_walks_through(
-    max_n: int, allow_complex: bool = True, max_states: int = DEFAULT_STATE_LIMIT
+    max_n: int, max_states: int = DEFAULT_STATE_LIMIT
 ) -> list[int]:
     """Closed-walk counts (length 2n + 2 from the empty table, interim
     empties allowed) for every n from 0 to ``max_n``."""
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return _even_layer_counts(
-        EMPTY, max_n + 1, max_states, allow_complex=allow_complex
-    )[1:]
+    return _even_layer_counts(EMPTY, max_n + 1, max_states)[1:]
 
 
-def count_closed_walks(
-    n: int, allow_complex: bool = True, max_states: int = DEFAULT_STATE_LIMIT
-) -> int:
+def count_closed_walks(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
     """Closed walks of length 2n + 2 on the full move graph.
 
     Unlike games these may revisit the empty table, so every game is a
-    closed walk but not conversely.
+    closed walk but not conversely.  Without plate merges the same walks
+    are the Young walks of ``count_young_walks_through``.
     """
-    return count_closed_walks_through(
-        n, allow_complex=allow_complex, max_states=max_states
-    )[n]
+    return count_closed_walks_through(n, max_states=max_states)[n]
 
 
 def count_young_walks_through(

@@ -19,10 +19,11 @@ count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded, InvalidArgument, InvalidWalk, NotClosed, PrematureEmpty
 from .partitions import EMPTY, Move, MoveKind, Partition, legal_moves, apply_move
@@ -56,23 +57,8 @@ class Game:
         return self.text
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """The move-kind sequence of a game, forgetting the parameters."""
-
-    labels: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.labels)
-
-    def __str__(self) -> str:
-        return self.text
-
-
-@dataclass(frozen=True)
-class GameStats:
-    """Per-kind move counts of a game.
+class GameStats(NamedTuple):
+    """Per-kind move counts of a game, in histogram column order.
 
     v_f and v_l count O+f and O+l moves; p_c counts P-c moves; p_s counts
     P-s moves excluding the forced final one.  Splitting the 2n + 2 moves
@@ -92,9 +78,6 @@ class GameStats:
     @property
     def p(self) -> int:
         return self.p_s + self.p_c
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v_f, self.v_l, self.p_s, self.p_c)
 
 
 @dataclass(frozen=True)
@@ -197,8 +180,9 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     yield from walk(EMPTY, 0)
 
 
-def skeleton(game: Game) -> Skeleton:
-    return Skeleton(labels=tuple(m.kind.value for m in game.moves))
+def skeleton(game: Game) -> tuple[str, ...]:
+    """The move-kind labels of a game, forgetting the parameters."""
+    return tuple(m.kind.value for m in game.moves)
 
 
 def game_stats(game: Game) -> GameStats:
@@ -228,15 +212,9 @@ def olive_dyck_path(game: Game) -> DyckPath:
     return DyckPath(steps=tuple(steps))
 
 
-def stats_histogram(
-    n: int, ceiling: int = DEFAULT_ORACLE_CEILING
-) -> dict[tuple[int, int, int, int], int]:
-    """Histogram of (v_f, v_l, p_s, p_c) over all games of length ``n``."""
-    out: dict[tuple[int, int, int, int], int] = {}
-    for game in enumerate_games(n, ceiling=ceiling):
-        key = game_stats(game).as_tuple()
-        out[key] = out.get(key, 0) + 1
-    return out
+def stats_histogram(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Counter[GameStats]:
+    """Histogram of the GameStats of every game of length ``n``."""
+    return Counter(map(game_stats, enumerate_games(n, ceiling=ceiling)))
 
 
 def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:

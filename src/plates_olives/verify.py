@@ -85,11 +85,8 @@ def suite_paper_values(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResul
     _check(out, "game-counts-0-4", got == GOLDEN_GAME_COUNTS, f"got {got}")
 
     with_merges = tuple(counting.count_closed_walks_through(4, max_states=max_states))
-    without = tuple(
-        counting.count_closed_walks_through(
-            4, allow_complex=False, max_states=max_states
-        )
-    )
+    # without merges, closed walks are Young walks; drop the length-0 row
+    without = tuple(counting.count_young_walks_through(5, max_states=max_states)[1:])
     _check(
         out,
         "closed-walks-2-3",

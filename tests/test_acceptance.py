@@ -16,6 +16,7 @@ from plates_olives.counting import (
     count_games,
     count_games_through,
     count_young_walks,
+    count_young_walks_through,
 )
 from plates_olives.games import (
     enumerate_games,
@@ -58,7 +59,8 @@ def test_criterion_2_quoted_closed_walk_values():
     # reading; the third does not, so both readings are tested and the
     # computed outcome is recorded here and in the verify suite.
     with_merges = count_closed_walks_through(4)
-    without_merges = count_closed_walks_through(4, allow_complex=False)
+    # without merges the closed walks are the Young walks
+    without_merges = count_young_walks_through(5)[1:]
 
     assert with_merges[2] == 15
     assert with_merges[3] == 107

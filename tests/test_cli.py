@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
+import tracemalloc
 
 import pytest
 
@@ -229,7 +229,7 @@ class TestVerifyCommand:
         def stats(game):
             # one merge too many is an impossible tally: v + p = n + 1
             tally = real_stats(game)
-            return replace(tally, p_c=tally.p_c + 1) if tally.p_c else tally
+            return tally._replace(p_c=tally.p_c + 1) if tally.p_c else tally
 
         def path(game):
             real = real_path(game)
@@ -427,6 +427,51 @@ class TestCache:
         rc, out, err = run(capsys, ["count", "--max-n", "4", "--cache", str(cache)])
         assert (rc, out, err) == (0, GOLDEN_COUNT_TABLE, "")
         assert cache.exists()
+
+    def test_directory_path_is_not_saved(self, capsys, tmp_path):
+        # an unwritable directory cannot be tested this way as root, who
+        # may write anywhere; a directory fails the final replace for anyone
+        cache = tmp_path / "counts.json"
+        cache.mkdir()
+        rc, out, err = run(capsys, ["count", "--max-n", "4", "--cache", str(cache)])
+        assert (rc, out) == (0, GOLDEN_COUNT_TABLE)
+        assert err.splitlines() == [
+            f"warning: cache {cache} ignored: Is a directory",
+            f"warning: cache {cache} not saved: Is a directory",
+        ]
+        assert list(tmp_path.iterdir()) == [cache]
+        assert cache.is_dir() and not any(cache.iterdir())
+
+    # save() writes every key and count as a decimal string; a JSON
+    # number is never one, even where int() would take it
+    @pytest.mark.parametrize("value", ["1e400", "9856.9", "true"])
+    def test_count_that_is_not_a_decimal_string_invalidates(self, capsys, tmp_path, value):
+        cache = tmp_path / "counts.json"
+        rows = ", ".join(f'"{n}": "{c}"' for n, c in enumerate((1, 2, 10, 76, 772)))
+        cache.write_text(
+            f'{{"version": "1", "counts": {{"first-return": {{{rows}, "5": {value}}}}}}}'
+        )
+        rc, out, err = run(capsys, ["count", "--max-n", "5", "--cache", str(cache)])
+        assert (rc, out) == (0, GOLDEN_COUNT_TABLE + "5   9856\n")
+        assert err == f"warning: cache {cache} ignored: malformed counts table\n"
+        assert json.loads(cache.read_text())["counts"]["first-return"]["5"] == "9856"
+
+    def test_huge_request_fails_before_reading_every_row(self, capsys, tmp_path):
+        cache = tmp_path / "counts.json"
+        run(capsys, ["count", "--max-n", "6", "--cache", str(cache)])
+        argv = ["count", "--max-n", "1000000", "--max-states", "10"]
+        _, _, uncached = run(capsys, argv)
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, argv + ["--cache", str(cache)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (1, "")
+        assert err == uncached == (
+            "error: more than 10 distinct states; raise max_states to continue\n"
+        )
+        assert peak < 1_000_000
 
     def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.json"

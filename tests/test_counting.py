@@ -34,6 +34,7 @@ from plates_olives.references import (
     weighted_dyck_sum_by_dp,
     weighted_dyck_sum_by_enumeration,
 )
+from plates_olives.verify import renewal_closed_counts
 
 GOLDEN_COUNTS = (1, 2, 10, 76, 772)
 
@@ -234,15 +235,13 @@ class TestWalkCounter:
 class TestClosedWalks:
     def test_frozen_values(self):
         assert tuple(count_closed_walks_through(4)) == CLOSED_WITH_MERGES
-        assert (
-            tuple(count_closed_walks_through(4, allow_complex=False))
-            == CLOSED_WITHOUT_MERGES
-        )
+        # without plate merges the closed walks are the Young walks
+        assert tuple(count_young_walks_through(5)[1:]) == CLOSED_WITHOUT_MERGES
 
     def test_brute_force_oracle(self):
         for n in range(4):
             assert count_closed_walks(n) == brute_closed_walks(n)
-            assert count_closed_walks(n, allow_complex=False) == brute_closed_walks(
+            assert count_young_walks(2 * n + 2) == brute_closed_walks(
                 n, allow_complex=False
             )
 
@@ -258,6 +257,13 @@ class TestClosedWalks:
                 for seg in range(2, length + 1, 2)
             )
         assert [by_len[2 * n + 2] for n in range(5)] == list(CLOSED_WITH_MERGES)
+
+    def test_renewal_identity_through_24(self):
+        # the same identity, through verify's renewal helper, far past
+        # the frozen values: one DP pass on each side
+        assert renewal_closed_counts(count_games_through(24)) == (
+            count_closed_walks_through(24)
+        )
 
     def test_dominates_first_return(self):
         games = count_games_through(8)

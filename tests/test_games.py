@@ -150,13 +150,13 @@ class TestEnumerate:
 
 class TestSkeleton:
     def test_examples(self):
-        assert skeleton(parse_game(TWO_PLATES)).labels == ("P+", "P+", "P-s", "P-s")
-        assert skeleton(parse_game(ONE_OLIVE)).labels == ("P+", "O+f", "O-", "P-s")
+        assert skeleton(parse_game(TWO_PLATES)) == ("P+", "P+", "P-s", "P-s")
+        assert skeleton(parse_game(ONE_OLIVE)) == ("P+", "O+f", "O-", "P-s")
 
     def test_endpoints_forced(self):
         for n in range(4):
             for game in enumerate_games(n):
-                labels = skeleton(game).labels
+                labels = skeleton(game)
                 assert labels[0] == "P+" and labels[-1] == "P-s"
 
     def test_skeletons_consistent_with_stats(self):
@@ -164,7 +164,7 @@ class TestSkeleton:
             distinct = set()
             count = 0
             for game in enumerate_games(n):
-                labels = skeleton(game).labels
+                labels = skeleton(game)
                 distinct.add(labels)
                 count += 1
                 tally = Counter(labels)
@@ -179,8 +179,8 @@ class TestSkeleton:
 
 class TestGameStats:
     def test_examples(self):
-        assert game_stats(parse_game(TWO_PLATES)).as_tuple() == (0, 0, 1, 0)
-        assert game_stats(parse_game(ONE_OLIVE)).as_tuple() == (1, 0, 0, 0)
+        assert game_stats(parse_game(TWO_PLATES)) == (0, 0, 1, 0)
+        assert game_stats(parse_game(ONE_OLIVE)) == (1, 0, 0, 0)
 
     def test_identities_exhaustive(self):
         # v + p = n always; complex removals never outnumber first olive-adds
