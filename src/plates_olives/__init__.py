@@ -20,6 +20,7 @@ from .analysis import (
     ratio_table,
 )
 from .counting import (
+    DEFAULT_STATE_LIMIT,
     WalkCounter,
     count_closed_walks,
     count_closed_walks_through,
@@ -54,7 +55,6 @@ from .games import (
     young_closed_walks,
 )
 from .partitions import (
-    DEFAULT_STATE_LIMIT,
     EMPTY,
     SINGLE_PLATE,
     Move,

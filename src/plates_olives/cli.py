@@ -42,7 +42,7 @@ from typing import IO, Iterable, Sequence
 
 from . import analysis, counting, games, references, verify
 from .errors import PlatesOlivesError
-from .partitions import DEFAULT_STATE_LIMIT
+from .counting import DEFAULT_STATE_LIMIT
 
 CACHE_VERSION = "1"
 VARIANTS = ("first-return", "closed", "young")

@@ -13,27 +13,67 @@ count a coarser equivalence, and walks restricted to single-box moves are
 exactly the closed walks in Young's lattice, counted by the double
 factorial (2n - 1)!!.
 
+The kernel's move rule, ``legal_moves``, acts on raw part tuples and
+shares no code with the grammar of ``partitions`` that the oracle walks.
+
 Everything here returns plain Python integers, so results are exact at
 any size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
+from operator import neg
+
 from .errors import InvalidArgument, ResourceLimit
-from .partitions import DEFAULT_STATE_LIMIT, EMPTY, SINGLE_PLATE, Partition, legal_moves
+from .partitions import EMPTY, SINGLE_PLATE, Partition
+
+DEFAULT_STATE_LIMIT = 10_000_000
+
+Parts = tuple[int, ...]
+
+
+def legal_moves(parts: Parts, allow_complex: bool) -> tuple[list[Parts], list[Parts]]:
+    """The (heavier, lighter) successors of the nonincreasing ``parts``.
+
+    A part 1 is added; the first copy of each distinct part grows by one
+    and its last copy shrinks by one, so the tuple stays sorted, and a
+    part 1 leaves the table; with ``allow_complex`` two parts a >= b >= 2
+    (two copies when a = b) fuse into a + b - 1.
+    """
+    heavier, lighter = [parts + (1,)], []
+    runs = []  # (part >= 2, index of its first copy, index of its last copy)
+    first = 0
+    for a, copies in Counter(parts).items():
+        last = first + copies - 1
+        heavier.append(parts[:first] + (a + 1,) + parts[first + 1 :])
+        lighter.append(parts[:last] + (a - 1,) * (a > 1) + parts[last + 1 :])
+        if a > 1:
+            runs.append((a, first, last))
+        first = last + 1
+    if allow_complex:
+        for x, (a, i, _) in enumerate(runs):
+            for b, _, j in runs[x:]:
+                if i < j:  # a = b needs two copies
+                    # a + b - 1 > a lands among the parts left of the first a
+                    k = bisect_left(parts, 1 - a - b, 0, i, key=neg)
+                    fused = parts[:k] + (a + b - 1,) + parts[k:i]
+                    lighter.append(fused + parts[i + 1 : j] + parts[j + 1 :])
+    return heavier, lighter
 
 
 class WalkCounter:
     """Layer-by-layer walk counts on the move graph.
 
     The counter starts with mass 1 on ``start`` and each ``advance()``
-    pushes the whole layer through the legal moves.  States are interned
-    by their raw parts tuples and get ids in first-seen order, so a
-    deterministic caller gets deterministic ids.  A state's successor list
-    is built once, from ``legal_moves``, with its heavier targets first:
-    every move changes the weight by one, so the weight cap and the ban on
-    the empty table are decided once per source state, never per edge.
-    Options:
+    pushes the whole layer through the legal moves.  States are raw part
+    tuples, interned with ids in first-seen order, so a deterministic
+    caller gets deterministic ids; ``support()`` wraps them as
+    ``Partition``s.  A state's successor list is built once, from this
+    module's ``legal_moves``, with its heavier targets first: every move
+    changes the weight by one, so the weight cap and the ban on the empty
+    table are decided once per source state, never per edge.  Options:
 
     ``prune``
         With ``prune=True`` states too heavy to reach ``end`` in the
@@ -85,10 +125,8 @@ class WalkCounter:
             raise ValueError(
                 f"start {start} is too heavy to reach {end} within total_steps={total_steps}"
             )
-        # keyed by the raw parts tuple, which hashes in C; legal_moves
-        # still takes the Partition, kept in _states
-        self._interner: dict[tuple[int, ...], int] = {start.parts: 0}
-        self._states: list[Partition] = [start]
+        self._interner: dict[Parts, int] = {start.parts: 0}
+        self._states: list[Parts] = [start.parts]
         self._weights: list[int] = [start.weight]
         # _succ[sid] lists heavier targets, then lighter ones, each in
         # legal_moves order; _split[sid] is the number of heavier ones
@@ -99,33 +137,26 @@ class WalkCounter:
 
     def _expand(self, sid: int) -> list[int]:
         weight = self._weights[sid]
-        # every move changes the weight by one, and only the heavier side
-        # can pass max_weight
-        heavier_fit = weight < self.max_weight
-        heavier: list[int] = []
-        lighter: list[int] = []
-        interner = self._interner
-        for _, nxt in legal_moves(self._states[sid], allow_complex=self.allow_complex):
-            parts = nxt.parts
-            w = sum(parts)
-            if w > weight and not heavier_fit:
-                continue
-            tid = interner.get(parts)
-            if tid is None:
-                tid = len(self._states)
-                if tid >= self.max_states:
-                    raise ResourceLimit(
-                        f"more than {self.max_states} distinct states; "
-                        "raise max_states to continue"
-                    )
-                interner[parts] = tid
-                self._states.append(nxt)
-                self._weights.append(w)
-            (heavier if w > weight else lighter).append(tid)
+        heavier, lighter = legal_moves(self._states[sid], self.allow_complex)
+        if weight >= self.max_weight:
+            heavier = []  # only the heavier side can pass max_weight
         self._split[sid] = len(heavier)
-        heavier += lighter
-        self._succ[sid] = heavier
-        return heavier
+        interner, states, weights = self._interner, self._states, self._weights
+        targets = []
+        for w, group in ((weight + 1, heavier), (weight - 1, lighter)):
+            for parts in group:
+                tid = interner.setdefault(parts, len(states))
+                if tid == len(states):
+                    states.append(parts)
+                    weights.append(w)
+                targets.append(tid)
+        if len(states) > self.max_states:
+            raise ResourceLimit(
+                f"more than {self.max_states} distinct states; "
+                "raise max_states to continue"
+            )
+        self._succ[sid] = targets
+        return targets
 
     def _weight_cap(self, k: int) -> int:
         if not self.prune:
@@ -173,7 +204,8 @@ class WalkCounter:
 
     def support(self) -> list[tuple[Partition, int]]:
         """Current layer as (state, count) pairs, in state-id order."""
-        return [(self._states[sid], ways) for sid, ways in sorted(self.layer.items())]
+        layer = sorted(self.layer.items())
+        return [(Partition(self._states[sid]), ways) for sid, ways in layer]
 
 
 def _even_layer_counts(

@@ -222,12 +222,13 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
+    succ = cache(legal_moves)
 
     def rec(walk: tuple[Partition, ...], left: int) -> Iterator[tuple[Partition, ...]]:
         if left == 0:
             yield walk
             return
-        for _, nxt in legal_moves(walk[-1], allow_complex=False):
+        for _, nxt in succ(walk[-1], False):
             # must be able to drain back to the empty partition in time
             if nxt.weight < left:
                 yield from rec((*walk, nxt), left - 1)

@@ -34,13 +34,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from math import isqrt
 from typing import Iterator
 
 from .errors import IllegalMove
-
-DEFAULT_STATE_LIMIT = 10_000_000
 
 
 def w_cap(t: int) -> int:
@@ -204,47 +201,11 @@ SINGLE_PLATE = Partition((1,))
 def _successor(
     parts: tuple[int, ...], taken: tuple[int, ...], put: tuple[int, ...]
 ) -> Partition:
-    """The state left by taking ``taken`` off ``parts`` and putting ``put``
-    back.  The result is sorted here, so it is built without re-running
-    ``Partition``'s checks."""
+    """What is left of ``parts`` after taking ``taken`` and putting ``put``."""
     rest = list(parts)
     for part in taken:
         rest.remove(part)
-    rest += put
-    rest.sort(reverse=True)
-    state = object.__new__(Partition)
-    object.__setattr__(state, "parts", tuple(rest))
-    return state
-
-
-# (token, move, taken, put): what legal_moves sorts by, returns and applies
-_Entry = tuple[str, Move, tuple[int, ...], tuple[int, ...]]
-
-
-def _entry(kind: MoveKind, i: int | None = None, j: int | None = None) -> _Entry:
-    """One move's entry, built once per distinct move by the caches below
-    and shared by every state that has the move."""
-    move = Move(kind, i, j)
-    return (move.token(), move, *move.exchange)
-
-
-_PLATE_ADD = _entry(MoveKind.PLATE_ADD)
-_EMPTY_PLATE_MOVES = (
-    _entry(MoveKind.OLIVE_ADD_FIRST),
-    _entry(MoveKind.PLATE_REMOVE_SIMPLE),
-)
-
-
-# the caches take plain ints, which hash in C (a MoveKind does not)
-@cache
-def _held_moves(c: int) -> tuple[_Entry, _Entry]:
-    """The O+l:c and O-:c entries."""
-    return _entry(MoveKind.OLIVE_ADD_LATER, c), _entry(MoveKind.OLIVE_REMOVE, c)
-
-
-@cache
-def _merge_move(ci: int, cj: int) -> _Entry:
-    return _entry(MoveKind.PLATE_REMOVE_COMPLEX, ci, cj)
+    return Partition((*rest, *put))
 
 
 def legal_moves(
@@ -259,21 +220,20 @@ def legal_moves(
     parts = state.parts
     plates = Counter(parts)  # part -> plates with part - 1 olives
     held = sorted(part - 1 for part in plates if part >= 2)
-    entries = [_PLATE_ADD]
+    moves = [Move(MoveKind.PLATE_ADD)]
     if 1 in plates:
-        entries += _EMPTY_PLATE_MOVES
+        moves += [Move(MoveKind.OLIVE_ADD_FIRST), Move(MoveKind.PLATE_REMOVE_SIMPLE)]
     for c in held:
-        entries += _held_moves(c)
+        moves += [Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)]
     if allow_complex:
-        entries += [
-            _merge_move(ci, cj)
+        moves += [
+            Move(MoveKind.PLATE_REMOVE_COMPLEX, ci, cj)
             for a, ci in enumerate(held)
             for cj in held[a:]
             if ci != cj or plates[ci + 1] >= 2
         ]
-    # tokens are unique, so the sort never compares past them
-    entries.sort()
-    return [(move, _successor(parts, taken, put)) for _, move, taken, put in entries]
+    moves.sort(key=Move.token)
+    return [(move, _successor(parts, *move.exchange)) for move in moves]
 
 
 def apply_move(state: Partition, move: Move) -> Partition:

@@ -76,24 +76,25 @@ def weighted_dyck_sum_by_enumeration(v: int) -> int:
     return total
 
 
+def weighted_dyck_sum_by_dp_through(max_v: int) -> list[int]:
+    """The sums for v = 0 .. ``max_v`` out of one fold: the sum for v is the
+    mass at height 0 after 2v steps, by when no path climbs above max_v."""
+    if max_v < 0:
+        raise ValueError("semilength must be nonnegative")
+    # row[h + 1] is the mass at height h; the zero ends stand for heights
+    # -1 and max_v + 1, and an up-step from height h - 1 weighs h
+    row = [0, 1] + [0] * (max_v + 1)
+    out = [1]
+    for pos in range(2 * max_v):
+        row = [0] + [row[h] * h + row[h + 2] for h in range(max_v + 1)] + [0]
+        if pos % 2:
+            out.append(row[1])
+    return out
+
+
 def weighted_dyck_sum_by_dp(v: int) -> int:
     """Same sum as the enumeration, folded over (position, height)."""
-    if v < 0:
-        raise ValueError("semilength must be nonnegative")
-    cur = [0] * (v + 2)
-    cur[0] = 1
-    for pos in range(2 * v):
-        nxt = [0] * (v + 2)
-        for h in range(min(pos, v) + 1):
-            ways = cur[h]
-            if not ways:
-                continue
-            if h + 1 <= v:
-                nxt[h + 1] += ways * (h + 1)
-            if h:
-                nxt[h - 1] += ways
-        cur = nxt
-    return cur[0]
+    return weighted_dyck_sum_by_dp_through(v)[-1]
 
 
 def updown_numbers(limit: int) -> list[int]:

@@ -28,7 +28,8 @@ from typing import Callable
 
 from . import analysis, counting, games, partitions, references
 from .errors import InvalidArgument, PlatesOlivesError
-from .partitions import DEFAULT_STATE_LIMIT, MoveKind
+from .counting import DEFAULT_STATE_LIMIT
+from .partitions import MoveKind
 
 # The interim-returns closed-walk counts were once circulated as
 # (15, 107, 981) for n = 2, 3, 4.  The first two reproduce exactly when
@@ -139,7 +140,7 @@ def suite_identities() -> list[CheckResult]:
     out: list[CheckResult] = []
     double_factorial = references.double_factorial
     brute = [references.weighted_dyck_sum_by_enumeration(v) for v in range(13)]
-    dp = [references.weighted_dyck_sum_by_dp(v) for v in range(201)]
+    dp = references.weighted_dyck_sum_by_dp_through(200)
     _check(
         out,
         "weighted-dyck-brute-vs-double-factorial",
@@ -210,8 +211,12 @@ def _sweep_games(n: int, ceiling: int, claims: bool) -> SweepResult:
         stats = games.game_stats(game)
         if bad_tally is None and (stats.v + stats.p != n or stats.p_c > stats.v_f):
             bad_tally = f"stats violation in {game.text}"
-        if bad_dyck is None and games.olive_dyck_path(game).semilength != stats.v:
-            bad_dyck = f"dyck semilength mismatch in {game.text}"
+        if bad_dyck is None:
+            try:
+                if games.olive_dyck_path(game).semilength != stats.v:
+                    bad_dyck = f"dyck semilength mismatch in {game.text}"
+            except ValueError as exc:  # the projection is no Dyck path at all
+                bad_dyck = f"{exc} in {game.text}"
     return seen, bad_tally, bad_dyck
 
 

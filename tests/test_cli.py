@@ -253,6 +253,25 @@ class TestVerifyCommand:
         )
         assert out.endswith("FAIL: 2 failed\n")
 
+    def test_olive_projection_that_is_no_dyck_path_fails(self, capsys, monkeypatch):
+        real_path = games.olive_dyck_path
+        first_of_two = next(enumerate_games(2)).text
+
+        def path(game):
+            if game.text == first_of_two:
+                return DyckPath((-1, 1))
+            return real_path(game)
+
+        monkeypatch.setattr(games, "olive_dyck_path", path)
+        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
+        assert rc == 1
+        assert (
+            "FAIL [claims] olive-dyck-projection: path dips below the axis in "
+            f"{first_of_two}\n" in out
+        )
+        assert "PASS [claims] per-game-move-tallies" in out
+        assert out.endswith("FAIL: 1 failed\n")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])

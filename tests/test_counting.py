@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from plates_olives import counting
+from plates_olives import counting, partitions
 from plates_olives.counting import (
     WalkCounter,
     count_closed_walks,
@@ -21,7 +23,13 @@ from plates_olives.games import (
     validate_game,
     young_closed_walks,
 )
-from plates_olives.partitions import EMPTY, SINGLE_PLATE, Partition, legal_moves
+from plates_olives.partitions import (
+    EMPTY,
+    SINGLE_PLATE,
+    Partition,
+    legal_moves,
+    partitions_up_to_weight,
+)
 from plates_olives.references import (
     GEOMETRIC_CLASS_COUNTS,
     catalan,
@@ -32,6 +40,7 @@ from plates_olives.references import (
     tangent_numbers,
     updown_numbers,
     weighted_dyck_sum_by_dp,
+    weighted_dyck_sum_by_dp_through,
     weighted_dyck_sum_by_enumeration,
 )
 from plates_olives.verify import renewal_closed_counts
@@ -232,6 +241,32 @@ class TestWalkCounter:
         assert seen == {"traversed": 435, "peak": 26, "bits": 18}
 
 
+class TestKernelMoveRule:
+    def test_matches_grammar_exhaustively(self):
+        # the kernel's rule on part tuples against the move grammar, edge
+        # for edge, for every partition of weight <= 20
+        for state in partitions_up_to_weight(20):
+            for allow_complex in (True, False):
+                heavier, lighter = counting.legal_moves(state.parts, allow_complex)
+                grammar = legal_moves(state, allow_complex)
+                assert Counter(heavier + lighter) == Counter(q.parts for _, q in grammar)
+                assert len(set(heavier + lighter)) == len(heavier + lighter)
+                assert all(sum(parts) == state.weight + 1 for parts in heavier)
+                assert all(sum(parts) == state.weight - 1 for parts in lighter)
+
+    def test_counts_do_not_use_the_grammar(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("the counting kernel called the move grammar")
+
+        monkeypatch.setattr(partitions, "legal_moves", broken)
+        monkeypatch.setattr(partitions, "_successor", broken)
+        assert count_games_through(8) == [
+            1, 2, 10, 76, 772, 9856, 152_099, 2_758_931, 57_602_672
+        ]
+        assert tuple(count_closed_walks_through(4)) == CLOSED_WITH_MERGES
+        assert tuple(count_young_walks_through(5)[1:]) == CLOSED_WITHOUT_MERGES
+
+
 class TestClosedWalks:
     def test_frozen_values(self):
         assert tuple(count_closed_walks_through(4)) == CLOSED_WITH_MERGES
@@ -376,6 +411,14 @@ class TestWeightedDyckSum:
     def test_double_factorial_identity_dp(self):
         for v in range(60):
             assert weighted_dyck_sum_by_dp(v) == double_factorial(2 * v - 1)
+
+    def test_one_fold_gives_every_semilength(self):
+        sums = weighted_dyck_sum_by_dp_through(40)
+        assert sums == [weighted_dyck_sum_by_dp(v) for v in range(41)]
+        assert sums == [double_factorial(2 * v - 1) for v in range(41)]
+        assert weighted_dyck_sum_by_dp_through(0) == [1]
+        with pytest.raises(ValueError):
+            weighted_dyck_sum_by_dp_through(-1)
 
     def test_path_generator(self):
         assert list(dyck_paths(0)) == [()]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plates_olives import counting
 from plates_olives.errors import IllegalMove
 from plates_olives.partitions import (
     EMPTY,
@@ -175,8 +176,8 @@ def partitions(draw, max_weight=40):
 
 
 class TestSuccessorsUnvalidated:
-    # legal_moves builds successors without Partition's checks; these
-    # properties show each one is still canonical and agrees with apply_move
+    # these properties show each successor is canonical, agrees with
+    # apply_move, and is an edge of the counting kernel's own move rule
     @settings(max_examples=300, deadline=None)
     @given(partitions(), st.booleans())
     def test_successors_are_canonical(self, state, allow_complex):
@@ -189,6 +190,8 @@ class TestSuccessorsUnvalidated:
             assert all(type(p) is int and p >= 1 for p in nxt.parts)
             assert all(a >= b for a, b in zip(nxt.parts, nxt.parts[1:]))
             assert apply_move(state, move) == nxt
+        heavier, lighter = counting.legal_moves(state.parts, allow_complex)
+        assert Counter(heavier + lighter) == Counter(nxt.parts for _, nxt in pairs)
         tally = Counter(m.kind for m, _ in pairs)
         profile = move_capacity_profile(state)
         if not allow_complex:
