@@ -124,20 +124,18 @@ class CacheFile:
         except (AttributeError, KeyError, TypeError, ValueError):
             return self._ignore("malformed counts table")
         self.counts = loaded
+        dropped: dict[str, list[str]] = {}
         for variant, rows in loaded.items():
-            dropped = []
             for n, count in sorted(rows.items()):
                 reason = _contradiction(variant, n, count)
                 if reason:
-                    dropped.append(f"n={n}: {reason}")
+                    dropped.setdefault(variant, []).append(f"n={n}: {reason}")
                     del rows[n]
-            if dropped:
-                print(
-                    f"warning: cache drops {variant} {'; '.join(dropped)}",
-                    file=sys.stderr,
-                )
-                # rewrite the file, so the row is not read and warned about again
-                self.save()
+        for variant, reasons in dropped.items():
+            print(f"warning: cache drops {variant} {'; '.join(reasons)}", file=sys.stderr)
+        if dropped:
+            # rewrite the file once, so no row is read and warned about again
+            self.save()
 
     def save(self) -> None:
         payload = {
@@ -269,13 +267,12 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> int:
-    stream = games.enumerate_games(args.n, ceiling=args.oracle_ceiling)
     if args.emit == "games":
-        for game in stream:
+        for game in games.enumerate_games(args.n, ceiling=args.oracle_ceiling):
             out.write(game.text + "\n")
     elif args.emit == "skeletons":
         seen = set()
-        for game in stream:
+        for game in games.enumerate_games(args.n, ceiling=args.oracle_ceiling):
             text = " ".join(games.skeleton(game))
             if text not in seen:
                 seen.add(text)

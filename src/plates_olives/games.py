@@ -89,7 +89,7 @@ class DyckPath:
     def __post_init__(self) -> None:
         h = 0
         for s in self.steps:
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ValueError("steps must be +1 or -1")
             h += s
             if h < 0:
@@ -144,12 +144,45 @@ def parse_game(text: str) -> Game:
     return validate_game(Move.parse(tok) for tok in text.split())
 
 
+def _closed_walks(
+    length: int, allow_complex: bool, interim_empty: bool
+) -> Iterator[tuple[list[Move], list[Partition]]]:
+    """Depth-first, in move token order, over the closed walks of ``length``
+    moves from the empty table.  Each walk yields the walk's own (moves,
+    states) lists, which change as it goes on, so callers copy them.
+
+    ``legal_moves`` is called once per distinct state.  A successor is kept
+    only if it can still drain to the empty table, and the empty table
+    itself midway only with ``interim_empty``.
+    """
+    succ = cache(legal_moves)
+    moves: list[Move] = []
+    states = [EMPTY]
+
+    def walk(state: Partition, left: int) -> Iterator[tuple[list[Move], list[Partition]]]:
+        if not left:
+            yield moves, states
+            return
+        for move, nxt in succ(state, allow_complex):
+            w = nxt.weight
+            # weight w takes w more moves to drain, and this move counts
+            if w < left and (w or interim_empty or left == 1):
+                moves.append(move)
+                states.append(nxt)
+                yield from walk(nxt, left - 1)
+                moves.pop()
+                states.pop()
+
+    return walk(EMPTY, length)
+
+
 def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[Game]:
-    """Yield every game of length ``n`` in lexicographic token order.
+    """Every game of length ``n`` in lexicographic token order.
 
     The moves at each state are explored in token order, which makes the
     emitted sequence lexicographic.  ``ceiling`` guards against requests
     that cannot finish at desk scale; pass a larger value to go further.
+    Bad arguments raise at the call, before the walk starts.
     """
     if n < 0:
         raise InvalidArgument("game length must be nonnegative")
@@ -157,27 +190,7 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
         raise CeilingExceeded(
             f"exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"
         )
-    total = 2 * n + 2
-    succ = cache(legal_moves)
-    moves: list[Move] = []
-
-    def walk(state: Partition, done: int) -> Iterator[Game]:
-        if done == total:
-            yield Game(moves=tuple(moves))
-            return
-        remaining = total - done
-        for move, nxt in succ(state):
-            w = nxt.weight
-            # must be able to drain back to weight 0 in the steps left
-            if w > remaining - 1:
-                continue
-            if w == 0 and remaining != 1:
-                continue
-            moves.append(move)
-            yield from walk(nxt, done + 1)
-            moves.pop()
-
-    yield from walk(EMPTY, 0)
+    return (Game(moves=tuple(moves)) for moves, _ in _closed_walks(2 * n + 2, True, False))
 
 
 def skeleton(game: Game) -> tuple[str, ...]:
@@ -222,18 +235,7 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
-    succ = cache(legal_moves)
-
-    def rec(walk: tuple[Partition, ...], left: int) -> Iterator[tuple[Partition, ...]]:
-        if left == 0:
-            yield walk
-            return
-        for _, nxt in succ(walk[-1], False):
-            # must be able to drain back to the empty partition in time
-            if nxt.weight < left:
-                yield from rec((*walk, nxt), left - 1)
-
-    yield from rec((EMPTY,), length)
+    return (tuple(states) for _, states in _closed_walks(length, False, True))
 
 
 def _single_box_move(before: Partition, after: Partition) -> Move:

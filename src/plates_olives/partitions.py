@@ -279,7 +279,7 @@ def partitions_of_weight(weight: int) -> Iterator[Partition]:
             yield from rec(remaining - part, part, acc)
             acc.pop()
 
-    yield from rec(weight, weight, [])
+    return rec(weight, weight, [])
 
 
 def partitions_up_to_weight(max_weight: int) -> Iterator[Partition]:

@@ -49,7 +49,7 @@ def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
             yield from rec(h - 1)
             steps.pop()
 
-    yield from rec(0)
+    return rec(0)
 
 
 def count_proper_dyck_paths(n: int) -> int:

@@ -56,6 +56,12 @@ class CheckResult:
     detail: str = ""
 
 
+# one pass over the games of length n: their number, then the detail of the
+# first game breaking each per-game claim (None if none does, or unchecked)
+SweepResult = tuple[int, str | None, str | None]
+Sweep = Callable[[int], SweepResult]
+
+
 def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") -> None:
     results.append(CheckResult(name=name, ok=bool(ok), detail=detail))
 
@@ -80,7 +86,7 @@ def renewal_closed_counts(game_counts: list[int]) -> list[int]:
     return [by_len[2 * n + 2] for n in range(len(game_counts))]
 
 
-def suite_paper_values(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
+def suite_paper_values(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     got = tuple(counting.count_games_through(4, max_states=max_states))
     _check(out, "game-counts-0-4", got == GOLDEN_GAME_COUNTS, f"got {got}")
@@ -136,7 +142,7 @@ def suite_paper_values(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResul
     return out
 
 
-def suite_identities() -> list[CheckResult]:
+def suite_identities(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     double_factorial = references.double_factorial
     brute = [references.weighted_dyck_sum_by_enumeration(v) for v in range(13)]
@@ -159,7 +165,7 @@ def suite_identities() -> list[CheckResult]:
         brute == dp[:13],
         "dual routes agree where both run",
     )
-    young = counting.count_young_walks_through(10)
+    young = counting.count_young_walks_through(10, max_states=max_states)
     _check(
         out,
         "young-walks-vs-double-factorial",
@@ -191,12 +197,6 @@ def suite_identities() -> list[CheckResult]:
         "m <= 35",
     )
     return out
-
-
-# one pass over the games of length n: their number, then the detail of the
-# first game breaking each per-game claim (None if none does, or unchecked)
-SweepResult = tuple[int, str | None, str | None]
-Sweep = Callable[[int], SweepResult]
 
 
 def _sweep_games(n: int, ceiling: int, claims: bool) -> SweepResult:
@@ -234,7 +234,7 @@ def suite_oracle(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
     return out
 
 
-def suite_bounds(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
+def suite_bounds(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     counts = counting.count_games_through(18, max_states=max_states)
     _check(
@@ -265,7 +265,7 @@ def suite_bounds(max_states: int = DEFAULT_STATE_LIMIT) -> list[CheckResult]:
     return out
 
 
-def suite_claims(ceiling: int, sweep: Sweep) -> list[CheckResult]:
+def suite_claims(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     cap_ok = True
     profile_ok = True
@@ -321,11 +321,11 @@ def suite_claims(ceiling: int, sweep: Sweep) -> list[CheckResult]:
 # every suite is called as suite(ceiling, max_states, sweep), where sweep is
 # the run's shared pass over the games of each length
 SUITES = {
-    "paper-values": lambda ceiling, max_states, sweep: suite_paper_values(max_states),
-    "identities": lambda ceiling, max_states, sweep: suite_identities(),
+    "paper-values": suite_paper_values,
+    "identities": suite_identities,
     "oracle": suite_oracle,
-    "bounds": lambda ceiling, max_states, sweep: suite_bounds(max_states),
-    "claims": lambda ceiling, max_states, sweep: suite_claims(ceiling, sweep),
+    "bounds": suite_bounds,
+    "claims": suite_claims,
 }
 
 

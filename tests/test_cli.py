@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 
-from plates_olives import counting, games
-from plates_olives.cli import main
+from plates_olives import analysis, counting, games
+from plates_olives.cli import CacheFile, main
+from plates_olives.errors import PlatesOlivesError
 from plates_olives.counting import count_games
 from plates_olives.games import DyckPath, enumerate_games, parse_game
 
@@ -253,6 +254,25 @@ class TestVerifyCommand:
         )
         assert out.endswith("FAIL: 2 failed\n")
 
+    @pytest.mark.parametrize("suite", ["paper-values", "identities", "oracle", "bounds"])
+    def test_every_counting_suite_honours_max_states(self, capsys, suite):
+        rc, out, err = run(capsys, ["verify", "--suite", suite, "--max-states", "5"])
+        assert (rc, out) == (1, "")
+        assert err == "error: more than 5 distinct states; raise max_states to continue\n"
+
+    def test_bound_table_failure_is_reported(self, capsys, monkeypatch):
+        def below_bound(max_n, counts):
+            raise PlatesOlivesError("count 1 at n=3 fell below the proven bound 15")
+
+        monkeypatch.setattr(analysis, "bound_table", below_bound)
+        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
+        assert rc == 1
+        assert (
+            "FAIL [bounds] bound-table-builds: "
+            "count 1 at n=3 fell below the proven bound 15\n" in out
+        )
+        assert out.endswith("FAIL: 1 failed\n")
+
     def test_olive_projection_that_is_no_dyck_path_fails(self, capsys, monkeypatch):
         real_path = games.olive_dyck_path
         first_of_two = next(enumerate_games(2)).text
@@ -408,6 +428,28 @@ class TestCache:
         rc, out, err = run(capsys, argv)
         assert (rc, out, err) == (0, fresh, "")
         assert "1000000000" not in json.loads(cache.read_text())["counts"]["young"]
+
+    def test_drops_in_every_variant_rewrite_the_file_once(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "counts.json"
+        bad = {"first-return": {"3": "0"}, "closed": {"4": "981"}, "young": {"2": "4"}}
+        cache.write_text(json.dumps({"version": "1", "counts": bad}))
+        saves = []
+        real_save = CacheFile.save
+
+        def counted_save(self):
+            saves.append(self.path)
+            real_save(self)
+
+        monkeypatch.setattr(CacheFile, "save", counted_save)
+        loaded = CacheFile(cache)
+        assert saves == [cache]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: cache drops first-return n=3: 0 is not the known value 76",
+            "warning: cache drops closed n=4: 981 is not the known value 1015",
+            "warning: cache drops young n=2: 4 is not (2n-1)!!",
+        ]
+        assert loaded.counts == {"first-return": {}, "closed": {}, "young": {}}
+        assert json.loads(cache.read_text()) == {"version": "1", "counts": {}}
 
     def test_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plates_olives import games
 from plates_olives.errors import (
     CeilingExceeded,
     IllegalMove,
@@ -23,8 +24,16 @@ from plates_olives.games import (
     skeleton,
     stats_histogram,
     validate_game,
+    young_closed_walks,
 )
-from plates_olives.partitions import EMPTY, Move, MoveKind, legal_moves
+from plates_olives.partitions import (
+    EMPTY,
+    Move,
+    MoveKind,
+    legal_moves,
+    partitions_of_weight,
+)
+from plates_olives.references import dyck_paths
 
 # the two games of length 1: all plates, and one olive in and out
 TWO_PLATES = "P+ P+ P-s P-s"
@@ -199,6 +208,11 @@ class TestDyckPath:
             DyckPath((1, 1))
         with pytest.raises(ValueError):
             DyckPath((2, -2))
+        # steps are compared by type as well as value, as Move's are
+        with pytest.raises(ValueError, match="steps must be"):
+            DyckPath((True, -1))
+        with pytest.raises(ValueError, match="steps must be"):
+            DyckPath((1.0, -1.0))
 
     def test_heights(self):
         path = DyckPath((1, 1, -1, -1))
@@ -227,6 +241,52 @@ class TestDyckPath:
                     if move.kind in olive_kinds:
                         sampled.append(state.olive_count)
                 assert list(path.heights()) == sampled
+
+
+class TestClosedWalks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: enumerate_games(-1), ValueError),
+            (lambda: enumerate_games(7), CeilingExceeded),
+            (lambda: young_closed_walks(3), ValueError),
+            (lambda: dyck_paths(-1), ValueError),
+            (lambda: partitions_of_weight(-1), ValueError),
+        ],
+        ids=[
+            "enumerate_games(-1)",
+            "enumerate_games(7)",
+            "young_closed_walks(3)",
+            "dyck_paths(-1)",
+            "partitions_of_weight(-1)",
+        ],
+    )
+    def test_enumerators_raise_at_the_call(self, call, expected):
+        # no next(): the argument is checked before a generator exists
+        with pytest.raises(expected):
+            call()
+
+    @pytest.mark.parametrize(
+        "walks, allow_complex",
+        [
+            (lambda: [g.trace for g in enumerate_games(3)], True),
+            (lambda: list(young_closed_walks(6)), False),
+        ],
+        ids=["games", "young-walks"],
+    )
+    def test_one_grammar_call_per_distinct_state(self, monkeypatch, walks, allow_complex):
+        calls = []
+
+        def recorded(state, allow_complex=True):
+            calls.append((state, allow_complex))
+            return legal_moves(state, allow_complex)
+
+        monkeypatch.setattr(games, "legal_moves", recorded)
+        traces = walks()
+        # every state a walk leaves is expanded, once, and nothing else is
+        left = {state for trace in traces for state in trace[:-1]}
+        assert len(calls) == len(set(calls)) == len(left)
+        assert set(calls) == {(state, allow_complex) for state in left}
 
 
 class TestHistogram:
