@@ -151,29 +151,50 @@ def _closed_walks(
     moves from the empty table.  Each walk yields the walk's own (moves,
     states) lists, which change as it goes on, so callers copy them.
 
-    ``legal_moves`` is called once per distinct state.  A successor is kept
-    only if it can still drain to the empty table, and the empty table
-    itself midway only with ``interim_empty``.
+    One loop runs over a stack of successor iterators, one per state of
+    the current walk.  Each comes from a table cached per (state, moves
+    left) that keeps only the successors that can still drain to the
+    empty table, and the empty table itself midway only with
+    ``interim_empty``, so each weight is tested once per key.  The tables
+    are built on ``legal_moves``, which is called once per distinct state.
     """
-    succ = cache(legal_moves)
-    moves: list[Move] = []
-    states = [EMPTY]
+    grammar = cache(legal_moves)
 
-    def walk(state: Partition, left: int) -> Iterator[tuple[list[Move], list[Partition]]]:
-        if not left:
+    @cache
+    def successors(state: Partition, left: int) -> tuple[tuple[Move, Partition], ...]:
+        # weight w takes w more moves to drain, and this move counts
+        return tuple(
+            (move, nxt)
+            for move, nxt in grammar(state, allow_complex)
+            if (w := nxt.weight) < left and (w or interim_empty or left == 1)
+        )
+
+    def walk() -> Iterator[tuple[list[Move], list[Partition]]]:
+        moves: list[Move] = []
+        states = [EMPTY]
+        if not length:
             yield moves, states
             return
-        for move, nxt in succ(state, allow_complex):
-            w = nxt.weight
-            # weight w takes w more moves to drain, and this move counts
-            if w < left and (w or interim_empty or left == 1):
+        stack = [iter(successors(EMPTY, length))]
+        while stack:
+            for move, nxt in stack[-1]:
                 moves.append(move)
                 states.append(nxt)
-                yield from walk(nxt, left - 1)
+                left = length - len(moves)
+                if left:
+                    stack.append(iter(successors(nxt, left)))
+                    break
+                yield moves, states
                 moves.pop()
                 states.pop()
+            else:
+                # every successor of states[-1] is done: step back
+                stack.pop()
+                if moves:
+                    moves.pop()
+                    states.pop()
 
-    return walk(EMPTY, length)
+    return walk()
 
 
 def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[Game]:
@@ -209,20 +230,23 @@ def game_stats(game: Game) -> GameStats:
     )
 
 
+# The olive step of each move kind; P+, P-s and P-c leave the olive total
+# unchanged, so they take no step.
+_OLIVE_STEP = dict.fromkeys(MoveKind, 0) | {
+    MoveKind.OLIVE_ADD_FIRST: 1,
+    MoveKind.OLIVE_ADD_LATER: 1,
+    MoveKind.OLIVE_REMOVE: -1,
+}
+
+
 def olive_dyck_path(game: Game) -> DyckPath:
     """Project a game onto olive moves only: +1 per olive added, -1 removed.
 
     Olives can never go negative and a game ends oliveless, so the result
     is a Dyck path of semilength v.
     """
-    steps = []
-    for m in game.moves:
-        if m.kind in (MoveKind.OLIVE_ADD_FIRST, MoveKind.OLIVE_ADD_LATER):
-            steps.append(1)
-        elif m.kind is MoveKind.OLIVE_REMOVE:
-            steps.append(-1)
-        # P+, P-s, P-c leave the olive total unchanged: no step
-    return DyckPath(steps=tuple(steps))
+    steps = [_OLIVE_STEP[m.kind] for m in game.moves]
+    return DyckPath(steps=tuple(filter(None, steps)))
 
 
 def stats_histogram(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Counter[GameStats]:

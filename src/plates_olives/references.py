@@ -7,6 +7,7 @@ zig-zag numbers with a permutation filter, and the geometric class table.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import comb
 from typing import Iterator
@@ -30,26 +31,39 @@ def catalan(n: int) -> int:
 
 
 def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
-    """All Dyck paths of the given semilength as +1/-1 step tuples."""
+    """All Dyck paths of the given semilength as +1/-1 step tuples, up-steps
+    before down-steps, so in descending lexicographic order.
+
+    One loop, no recursion.  From (position, height) a path takes up-steps
+    greedily, as many as can still come back down, then the forced
+    down-steps.  Each greedy up-step from a height above 0 could have gone
+    down instead, so its (position, height) goes on a stack; the next path
+    turns the last of them down and refills the rest greedily.  The greedy
+    rest depends on (position, height) only and is built once per pair.
+    """
     if semilength < 0:
         raise ValueError("semilength must be nonnegative")
     total = 2 * semilength
-    steps: list[int] = []
 
-    def rec(h: int) -> Iterator[tuple[int, ...]]:
-        if len(steps) == total:
+    @cache
+    def rest(pos: int, h: int) -> tuple[list[int], list[tuple[int, int]]]:
+        ups = (total - pos - h) // 2
+        tail = [1] * ups + [-1] * (total - pos - ups)
+        return tail, [(p, h + p - pos) for p in range(pos + (not h), pos + ups)]
+
+    def walk() -> Iterator[tuple[int, ...]]:
+        # copies: the cached lists are shared by every later refill
+        steps, pending = map(list, rest(0, 0))
+        yield tuple(steps)
+        while pending:
+            pos, h = pending.pop()
+            steps[pos] = -1
+            tail, turns = rest(pos + 1, h - 1)
+            steps[pos + 1 :] = tail
+            pending += turns
             yield tuple(steps)
-            return
-        if h < total - len(steps):
-            steps.append(1)
-            yield from rec(h + 1)
-            steps.pop()
-        if h > 0:
-            steps.append(-1)
-            yield from rec(h - 1)
-            steps.pop()
 
-    return rec(0)
+    return walk()
 
 
 def count_proper_dyck_paths(n: int) -> int:

@@ -214,6 +214,22 @@ class TestDyckPath:
         with pytest.raises(ValueError, match="steps must be"):
             DyckPath((1.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            # the first fault along the path is the one named
+            ((1, -1, -1, 2), "path dips below the axis"),
+            ((-1, 1.0), "path dips below the axis"),
+            ((1, 2, -1, -1), "steps must be \\+1 or -1"),
+            ((True, -1), "steps must be \\+1 or -1"),
+            ((1, -1, 1, True), "steps must be \\+1 or -1"),
+            ((1, 1, -1), "path does not end at height 0"),
+        ],
+    )
+    def test_first_fault_is_named(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            DyckPath(steps)
+
     def test_heights(self):
         path = DyckPath((1, 1, -1, -1))
         assert path.heights() == (0, 1, 2, 1, 0)
@@ -287,6 +303,16 @@ class TestClosedWalks:
         left = {state for trace in traces for state in trace[:-1]}
         assert len(calls) == len(set(calls)) == len(left)
         assert set(calls) == {(state, allow_complex) for state in left}
+
+
+class TestDyckPaths:
+    def test_semilength_zero_is_one_empty_path(self):
+        assert list(dyck_paths(0)) == [()]
+
+    def test_deep_path_needs_no_recursion(self):
+        first = next(dyck_paths(600))
+        assert first == (1,) * 600 + (-1,) * 600
+        assert DyckPath(first).semilength == 600
 
 
 class TestHistogram:

@@ -5,6 +5,9 @@ The table pins every output format of ``count``, ``ratio``, ``bounds`` and
 here the moment one byte moves.  After a deliberate change to an output
 format, print the new table with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff before pasting it in.
+
+Below the table, the order in which the enumeration oracle's walks come
+out is pinned past the sizes the table reaches.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import sys
 import pytest
 
 from plates_olives.cli import main
+from plates_olives.games import enumerate_games, young_closed_walks
+from plates_olives.references import dyck_paths
 
 
 def run_cli(argv: tuple[str, ...]) -> tuple[int, str, str]:
@@ -118,6 +123,58 @@ HELP_GOLDEN = {
     ('ratio', '--help'): (0, 'a482cb3ccef84dd513de168d52028d805480e9769f35633ede216e94810b4247', ''),
     ('bounds', '--help'): (0, 'a9fe6e11507c18d267c7626e97efcde72d3c13f3ae3f1507321f36a7f4eeaaa7', ''),
 }
+
+
+# The oracle's walks in order: the SHA-256 of the games of length 5, one
+# token line each (the stdout of ``enumerate --n 5 --emit games``), and per
+# even length L, the number of Young walks and the SHA-256 of their lines
+# of states.
+GAMES_5_DIGEST = "f25a20abc40a35503a0e0f515426006e646b51571922474a873c8c664dae2cc9"
+YOUNG_WALK_DIGESTS = {
+    0: (1, "c297dc29728d50fd786c7303124d325f850a12d98776cf36683a90039ebca3b6"),
+    2: (1, "318ff35898c52e2aebadce0c2b611108908c9784a0901933148ba544d8c3ae70"),
+    4: (3, "f31fe156cf402410d2f70834a76f934f248091fb4a4f5c6264f384ca984dfc7b"),
+    6: (15, "2a4cbd1ee941e147719b011dd33de6d386f9cfb990ff1587c4fc146c17fdc02a"),
+    8: (105, "f7dcebd11c9fed8a96e22ce6b1c577aaddb8c12629b1d1d378c4232f322fad74"),
+    10: (945, "341581785cedc62c4b6708cd11ef652cf2f27cfde5690e58de599c0e7f603fe8"),
+    12: (10395, "e08332a5428b63c52947499608759db59c908fcb8c3a558882dea1e2840a2707"),
+}
+
+
+def _line_digest(lines) -> tuple[int, str]:
+    """(number of lines, SHA-256 of the lines joined with newlines)."""
+    h = hashlib.sha256()
+    count = 0
+    for count, line in enumerate(lines, 1):
+        h.update(line.encode() + b"\n")
+    return count, h.hexdigest()
+
+
+def _dyck_reference(up: int, down: int) -> list[tuple[int, ...]]:
+    """Every ending of a Dyck path with ``up`` up-steps and ``down``
+    down-steps still to take, so from height ``down - up``, up-step first."""
+    if not down:
+        return [()]
+    out = [(1, *rest) for rest in _dyck_reference(up - 1, down)] if up else []
+    if down > up:
+        out += [(-1, *rest) for rest in _dyck_reference(up, down - 1)]
+    return out
+
+
+def test_game_order_at_length_5():
+    assert _line_digest(g.text for g in enumerate_games(5)) == (9856, GAMES_5_DIGEST)
+
+
+@pytest.mark.parametrize("length", sorted(YOUNG_WALK_DIGESTS))
+def test_young_walk_order(length):
+    walks = young_closed_walks(length)
+    lines = (" ".join(map(str, walk)) for walk in walks)
+    assert _line_digest(lines) == YOUNG_WALK_DIGESTS[length]
+
+
+@pytest.mark.parametrize("semilength", range(11))
+def test_dyck_path_order(semilength):
+    assert list(dyck_paths(semilength)) == _dyck_reference(semilength, semilength)
 
 
 def test_table_covers_every_command():
