@@ -151,23 +151,31 @@ def _closed_walks(
     moves from the empty table.  Each walk yields the walk's own (moves,
     states) lists, which change as it goes on, so callers copy them.
 
-    One loop runs over a stack of successor iterators, one per state of
-    the current walk.  Each comes from a table cached per (state, moves
-    left) that keeps only the successors that can still drain to the
-    empty table, and the empty table itself midway only with
-    ``interim_empty``, so each weight is tested once per key.  The tables
-    are built on ``legal_moves``, which is called once per distinct state.
+    The walk runs over a lazily linked graph of nodes, one per (state,
+    moves left).  A node is a list of ``[move, successor, child]``
+    entries, one per successor that can still drain to the empty table,
+    and the empty table itself midway only with ``interim_empty``, so
+    each weight is tested once per node.  ``child`` is None until the
+    walk first goes down through the entry; then it is filled with the
+    successor's node, from a cache keyed by (state, moves left) that
+    entries from other parents share, and every later visit reads it
+    directly.  So a node exists only once the walk reaches it, and the
+    cache is asked once per entry, not once per visit.  Nodes are built
+    on ``legal_moves``, which is called once per distinct state.
+
+    One loop runs over a stack of iterators over the nodes of the current
+    walk, with no recursion.
     """
     grammar = cache(legal_moves)
 
     @cache
-    def successors(state: Partition, left: int) -> tuple[tuple[Move, Partition], ...]:
+    def node(state: Partition, left: int) -> list[list]:
         # weight w takes w more moves to drain, and this move counts
-        return tuple(
-            (move, nxt)
+        return [
+            [move, nxt, None]
             for move, nxt in grammar(state, allow_complex)
             if (w := nxt.weight) < left and (w or interim_empty or left == 1)
-        )
+        ]
 
     def walk() -> Iterator[tuple[list[Move], list[Partition]]]:
         moves: list[Move] = []
@@ -175,20 +183,23 @@ def _closed_walks(
         if not length:
             yield moves, states
             return
-        stack = [iter(successors(EMPTY, length))]
+        stack = [iter(node(EMPTY, length))]
         while stack:
-            for move, nxt in stack[-1]:
+            for entry in stack[-1]:
+                move, nxt, child = entry
                 moves.append(move)
                 states.append(nxt)
                 left = length - len(moves)
                 if left:
-                    stack.append(iter(successors(nxt, left)))
+                    if child is None:
+                        child = entry[2] = node(nxt, left)
+                    stack.append(iter(child))
                     break
                 yield moves, states
                 moves.pop()
                 states.pop()
             else:
-                # every successor of states[-1] is done: step back
+                # every entry of the node at states[-1] is done: step back
                 stack.pop()
                 if moves:
                     moves.pop()
@@ -219,23 +230,33 @@ def skeleton(game: Game) -> tuple[str, ...]:
     return tuple(m.kind.value for m in game.moves)
 
 
+# The kinds game_stats tallies, read off the class once: on Python 3.11 a
+# member lookup on an Enum class costs about as much as one list.count.
+_V_F, _V_L, _P_S, _P_C = (
+    MoveKind.OLIVE_ADD_FIRST,
+    MoveKind.OLIVE_ADD_LATER,
+    MoveKind.PLATE_REMOVE_SIMPLE,
+    MoveKind.PLATE_REMOVE_COMPLEX,
+)
+
+
 def game_stats(game: Game) -> GameStats:
     kinds = [m.kind for m in game.moves]
-    return GameStats(
-        v_f=kinds.count(MoveKind.OLIVE_ADD_FIRST),
-        v_l=kinds.count(MoveKind.OLIVE_ADD_LATER),
-        # the closing P-s is forced, so it is not part of the tally
-        p_s=kinds.count(MoveKind.PLATE_REMOVE_SIMPLE) - 1,
-        p_c=kinds.count(MoveKind.PLATE_REMOVE_COMPLEX),
-    )
+    # the closing P-s is forced, so it is not part of the tally
+    return GameStats._make((
+        kinds.count(_V_F), kinds.count(_V_L), kinds.count(_P_S) - 1, kinds.count(_P_C)
+    ))
 
 
-# The olive step of each move kind; P+, P-s and P-c leave the olive total
-# unchanged, so they take no step.
-_OLIVE_STEP = dict.fromkeys(MoveKind, 0) | {
-    MoveKind.OLIVE_ADD_FIRST: 1,
-    MoveKind.OLIVE_ADD_LATER: 1,
-    MoveKind.OLIVE_REMOVE: -1,
+# The olive step of each move kind, keyed by the kind's token.  The lookup
+# reads the token as the member's plain ``_value_`` attribute, a str that
+# hashes in C; a MoveKind key would hash through the Python-level
+# ``Enum.__hash__``, and ``.value`` is a Python-level Enum property.
+# P+, P-s and P-c leave the olive total unchanged, so they take no step.
+_OLIVE_STEP = dict.fromkeys((kind.value for kind in MoveKind), 0) | {
+    MoveKind.OLIVE_ADD_FIRST.value: 1,
+    MoveKind.OLIVE_ADD_LATER.value: 1,
+    MoveKind.OLIVE_REMOVE.value: -1,
 }
 
 
@@ -245,7 +266,7 @@ def olive_dyck_path(game: Game) -> DyckPath:
     Olives can never go negative and a game ends oliveless, so the result
     is a Dyck path of semilength v.
     """
-    steps = [_OLIVE_STEP[m.kind] for m in game.moves]
+    steps = [_OLIVE_STEP[m.kind._value_] for m in game.moves]
     return DyckPath(steps=tuple(filter(None, steps)))
 
 

@@ -305,6 +305,53 @@ class TestClosedWalks:
         assert set(calls) == {(state, allow_complex) for state in left}
 
 
+    @staticmethod
+    def _count_grammar_calls(monkeypatch) -> list:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return legal_moves(*args, **kwargs)
+
+        monkeypatch.setattr(games, "legal_moves", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "first, size, most_calls",
+        [
+            # 601 states, and 602 moves
+            (lambda: next(young_closed_walks(600)), 601, 301),
+            (lambda: next(enumerate_games(300, ceiling=300)).moves, 602, 302),
+        ],
+        ids=["young_closed_walks(600)", "enumerate_games(300)"],
+    )
+    def test_walk_is_lazy(self, monkeypatch, first, size, most_calls):
+        # the first walk builds only the nodes along it; an eager graph
+        # would expand every partition of weight <= 300, and a recursive
+        # walk would overflow the stack
+        calls = self._count_grammar_calls(monkeypatch)
+        walk = first()
+        assert len(walk) == size
+        assert len(calls) <= most_calls
+
+    def test_counters_pinned_by_benchmark_selftest(self, monkeypatch):
+        # perfbench/selftest.py pins games.states_expanded = 12 and
+        # games.games = 76 for ``enumerate --n 3 --emit histogram``: an
+        # oracle change that moves them must fail here too
+        calls = self._count_grammar_calls(monkeypatch)
+        tallies = 0
+        stats = games.game_stats
+
+        def counted(game):
+            nonlocal tallies
+            tallies += 1
+            return stats(game)
+
+        monkeypatch.setattr(games, "game_stats", counted)
+        assert sum(stats_histogram(3).values()) == 76
+        assert (len(calls), tallies) == (12, 76)
+
+
 class TestDyckPaths:
     def test_semilength_zero_is_one_empty_path(self):
         assert list(dyck_paths(0)) == [()]
