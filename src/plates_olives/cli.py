@@ -182,24 +182,24 @@ def _resolve_counts(
     cache: CacheFile | None,
     self_check: bool = False,
 ) -> list[int]:
+    hits: list[int] = []
     if cache is not None:
         rows = cache.counts[variant]
         # stop at the first missing row, so a huge max_n reaches the
         # counter's state budget without max_n lookups first
-        hits: list[int] = []
         while len(hits) <= max_n and len(hits) in rows:
             hits.append(rows[len(hits)])
-        if len(hits) == max_n + 1:
-            if self_check:
-                fresh = _compute_counts(variant, max_n, max_states)
-                if fresh != hits:
-                    raise PlatesOlivesError(
-                        f"cache self-check failed for {variant}: "
-                        f"cached {hits} != recomputed {fresh}"
-                    )
+        if len(hits) == max_n + 1 and not self_check:
             return hits
     counts = _compute_counts(variant, max_n, max_states)
-    if cache is not None:
+    # every cached hit is checked, a partial hit's prefix included, before
+    # anything is saved
+    if self_check and counts[: len(hits)] != hits:
+        raise PlatesOlivesError(
+            f"cache self-check failed for {variant}: "
+            f"cached {hits} != recomputed {counts[: len(hits)]}"
+        )
+    if cache is not None and len(hits) < len(counts):
         cache.counts[variant].update(enumerate(counts))
         cache.save()
     return counts

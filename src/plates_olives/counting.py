@@ -4,14 +4,15 @@ Counting games of length n does not need the games themselves.  A game of
 length n is forced to open with P+ and close with P-s, so dropping those
 two moves leaves a walk of length 2n on the move graph that starts and
 ends at <1> and never touches the empty partition.  ``WalkCounter``
+counts such closed walks from one start state and a semilength: it
 propagates exact integer counts one step at a time over interned states,
 so one pass to 2n reads off every shorter count along the way.
 
-Two relatives of the game count share all of this machinery.  Closed
-walks from the empty partition back to itself (empty revisits allowed)
-count a coarser equivalence, and walks restricted to single-box moves are
-exactly the closed walks in Young's lattice, counted by the double
-factorial (2n - 1)!!.
+Two relatives of the game count are closed walks too, from the empty
+partition back to itself, and share all of this machinery.  With empty
+revisits allowed they count a coarser equivalence, and walks restricted
+to single-box moves are exactly the closed walks in Young's lattice,
+counted by the double factorial (2n - 1)!!.
 
 The kernel's move rule, ``legal_moves``, acts on raw part tuples and
 shares no code with the grammar of ``partitions`` that the oracle walks.
@@ -64,28 +65,30 @@ def legal_moves(parts: Parts, allow_complex: bool) -> tuple[list[Parts], list[Pa
 
 
 class WalkCounter:
-    """Layer-by-layer walk counts on the move graph.
+    """Layer-by-layer counts of the closed walks from ``start``.
 
-    The counter starts with mass 1 on ``start`` and each ``advance()``
-    pushes the whole layer through the legal moves.  States are raw part
-    tuples, interned with ids in first-seen order, so a deterministic
-    caller gets deterministic ids; ``support()`` wraps them as
-    ``Partition``s.  A state's successor list is built once, from this
+    The counter starts with mass 1 on ``start``, each ``advance()`` pushes
+    the whole layer through the legal moves, and ``run()`` returns the
+    walks back at ``start`` after T = 2 * ``semilength`` steps.  States
+    are raw part tuples, interned with ids in first-seen order, so a
+    deterministic caller gets deterministic ids; ``support()`` wraps them
+    as ``Partition``s.  A state's successor list is built once, from this
     module's ``legal_moves``, with its heavier targets first: every move
     changes the weight by one, so the weight cap and the ban on the empty
     table are decided once per source state, never per edge.  Options:
 
     ``prune``
-        With ``prune=True`` states too heavy to reach ``end`` in the
-        remaining steps are discarded as they arise, which keeps the live
-        state set small without changing any count that can still reach
-        the endpoint in time.
+        With ``prune=True`` states too heavy to get back to ``start`` in
+        the remaining steps are discarded as they arise: after k steps the
+        cap is ``start.weight + min(k, T - k)``.  So ``max_weight`` is
+        ``start.weight + semilength``, against ``start.weight + T``
+        unpruned, and no count changes.
     ``allow_complex``
         When False the P-c moves are dropped and the graph becomes
         Young's lattice plus empty-plate bookkeeping.
     ``allow_interim_empty``
         When False the empty partition is forbidden except as the final
-        state of the full walk (and then only when it is the endpoint).
+        state of the full walk, when it is the start.
     ``max_states``
         Turns runaway growth of the state table into a ResourceLimit
         instead of memory exhaustion.
@@ -94,37 +97,24 @@ class WalkCounter:
     def __init__(
         self,
         start: Partition,
-        total_steps: int,
-        end: Partition,
+        semilength: int,
         allow_complex: bool = True,
         allow_interim_empty: bool = True,
         prune: bool = True,
         max_states: int = DEFAULT_STATE_LIMIT,
     ) -> None:
-        if total_steps < 0:
-            raise ValueError("total_steps must be nonnegative")
+        if semilength < 0:
+            raise InvalidArgument("semilength must be nonnegative")
         if max_states < 1:
             raise InvalidArgument("max_states must be positive")
         self.start = start
-        self.end = end
-        self.total_steps = total_steps
+        self.total_steps = 2 * semilength
         self.allow_complex = allow_complex
         self.allow_interim_empty = allow_interim_empty
         self.prune = prune
         self.max_states = max_states
-        if prune:
-            # heaviest weight any surviving layer can hold: the maximum over
-            # k of _weight_cap(k), which peaks where the two caps cross
-            s, e = start.weight, end.weight
-            self.max_weight = min(
-                s + total_steps, e + total_steps, (s + e + total_steps) // 2
-            )
-        else:
-            self.max_weight = start.weight + total_steps
-        if start.weight > self.max_weight:
-            raise ValueError(
-                f"start {start} is too heavy to reach {end} within total_steps={total_steps}"
-            )
+        # the peak of _weight_cap(k): halfway when pruned, at the end if not
+        self.max_weight = start.weight + (semilength if prune else self.total_steps)
         self._interner: dict[Parts, int] = {start.parts: 0}
         self._states: list[Parts] = [start.parts]
         self._weights: list[int] = [start.weight]
@@ -159,9 +149,7 @@ class WalkCounter:
         return targets
 
     def _weight_cap(self, k: int) -> int:
-        if not self.prune:
-            return self.start.weight + k
-        return min(self.start.weight + k, self.end.weight + self.total_steps - k)
+        return self.start.weight + (min(k, self.total_steps - k) if self.prune else k)
 
     def advance(self) -> None:
         if self.step_index >= self.total_steps:
@@ -169,7 +157,7 @@ class WalkCounter:
         k = self.step_index + 1
         cap = self._weight_cap(k)
         empty_ok = self.allow_interim_empty or (
-            k == self.total_steps and self.end.is_empty
+            k == self.total_steps and self.start.is_empty
         )
         succ, split, weights = self._succ, self._split, self._weights
         nxt: dict[int, int] = {}
@@ -193,10 +181,10 @@ class WalkCounter:
         self.step_index = k
 
     def run(self) -> int:
-        """Advance to the full length and return the count at ``end``."""
+        """Advance to the full length and return the count back at ``start``."""
         while self.step_index < self.total_steps:
             self.advance()
-        return self.count_of(self.end)
+        return self.count_of(self.start)
 
     def count_of(self, state: Partition) -> int:
         # an unseen state has no id, and None is never a layer key
@@ -217,13 +205,7 @@ def _even_layer_counts(
     The weight prune for the longest walk keeps every state a shorter walk
     could use, so the intermediate layers are read off exactly.
     """
-    counter = WalkCounter(
-        start=start,
-        end=start,
-        total_steps=2 * semilength,
-        max_states=max_states,
-        **walk_options,
-    )
+    counter = WalkCounter(start, semilength, max_states=max_states, **walk_options)
     counts = [counter.count_of(start)]
     for _ in range(semilength):
         counter.advance()
@@ -284,5 +266,5 @@ def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int
     """Closed walks of even ``length`` in Young's lattice from the empty
     partition, i.e. single-box moves only.  Equals (length - 1)!!."""
     if length < 0 or length % 2:
-        raise ValueError("walk length must be even and nonnegative")
+        raise InvalidArgument("walk length must be even and nonnegative")
     return count_young_walks_through(length // 2, max_states=max_states)[-1]

@@ -279,7 +279,7 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     """Every closed single-box walk of even ``length`` from the empty
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
-        raise ValueError("walk length must be even and nonnegative")
+        raise InvalidArgument("walk length must be even and nonnegative")
     return (tuple(states) for _, states in _closed_walks(length, False, True))
 
 

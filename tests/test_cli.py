@@ -338,6 +338,22 @@ class TestCache:
         assert out == ""
         assert "self-check failed" in err
 
+    def test_self_check_catches_corruption_on_partial_hit(self, capsys, tmp_path):
+        # rows 0..6 are cached and 7 is not, so the counts are recomputed
+        # anyway; the cached prefix must be compared, not overwritten
+        cache = tmp_path / "counts.json"
+        run(capsys, ["count", "--max-n", "6", "--cache", str(cache)])
+        data = json.loads(cache.read_text())
+        data["counts"]["first-return"]["6"] = "999999"
+        cache.write_text(json.dumps(data))
+        corrupted = cache.read_bytes()
+        argv = ["count", "--max-n", "7", "--self-check", "--cache", str(cache)]
+        rc, out, err = run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert "self-check failed" in err and "999999" in err
+        assert cache.read_bytes() == corrupted
+
     def test_corruption_without_self_check_is_served(self, capsys, tmp_path):
         # by design the cache is trusted unless --self-check is passed
         cache = tmp_path / "counts.json"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
+from itertools import product
 
 import pytest
 
@@ -16,7 +18,7 @@ from plates_olives.counting import (
     count_young_walks,
     count_young_walks_through,
 )
-from plates_olives.errors import InvalidWalk, ResourceLimit
+from plates_olives.errors import InvalidArgument, InvalidWalk, ResourceLimit
 from plates_olives.games import (
     enumerate_games,
     lift_young_walk,
@@ -69,6 +71,27 @@ def brute_closed_walks(n: int, allow_complex: bool = True) -> int:
     return rec(EMPTY, 0)
 
 
+def brute_returns(
+    start: Partition, semilength: int, allow_complex: bool, allow_interim_empty: bool
+) -> int:
+    """Walks of 2 * semilength grammar moves from ``start`` back to it,
+    memoised on (state, steps taken) and never pruned by weight.  Without
+    interim empties the empty table may only be the last state."""
+    total = 2 * semilength
+
+    @cache
+    def rec(state: Partition, done: int) -> int:
+        if done == total:
+            return int(state == start)
+        return sum(
+            rec(nxt, done + 1)
+            for _, nxt in legal_moves(state, allow_complex)
+            if allow_interim_empty or not nxt.is_empty or done + 1 == total
+        )
+
+    return rec(start, 0)
+
+
 class TestGameCounts:
     def test_golden_sequence(self):
         assert tuple(count_games_through(4)) == GOLDEN_COUNTS
@@ -95,21 +118,14 @@ class TestGameCounts:
         # empties must agree with the forced-endpoint reduction
         for n in range(6):
             counter = WalkCounter(
-                start=EMPTY,
-                end=EMPTY,
-                total_steps=2 * n + 2,
-                allow_interim_empty=False,
+                start=EMPTY, semilength=n + 1, allow_interim_empty=False
             )
             assert counter.run() == count_games(n)
 
     def test_prune_soundness(self):
         for n in range(9):
             unpruned = WalkCounter(
-                start=SINGLE_PLATE,
-                end=SINGLE_PLATE,
-                total_steps=2 * n,
-                allow_interim_empty=False,
-                prune=False,
+                start=SINGLE_PLATE, semilength=n, allow_interim_empty=False, prune=False
             )
             assert unpruned.run() == count_games(n)
 
@@ -133,65 +149,70 @@ class TestGameCounts:
 
 class TestWalkCounter:
     def test_layer_weight_support(self):
-        # every live state at layer k weighs at most min(1+k, 1+(S-k)); with
-        # an odd length the last layer could hold only the empty table
-        for total in (12, 11):
-            counter = WalkCounter(
-                start=SINGLE_PLATE,
-                end=SINGLE_PLATE,
-                total_steps=total,
-                allow_interim_empty=False,
-            )
-            for k in range(1, total + 1):
-                counter.advance()
-                cap = min(1 + k, 1 + total - k)
-                for state, ways in counter.support():
-                    assert state.weight <= cap
-                    assert ways > 0
-                    # interim empties are banned, the last step included
-                    assert state != EMPTY
+        # every live state at layer k weighs at most 1 + min(k, 12 - k)
+        counter = WalkCounter(
+            start=SINGLE_PLATE, semilength=6, allow_interim_empty=False
+        )
+        for k in range(1, 13):
+            counter.advance()
+            cap = 1 + min(k, 12 - k)
+            for state, ways in counter.support():
+                assert state.weight <= cap
+                assert ways > 0
+                # interim empties are banned, at odd steps and the last one too
+                assert state != EMPTY
 
     def test_advance_past_end_rejected(self):
-        counter = WalkCounter(start=EMPTY, end=EMPTY, total_steps=0)
+        counter = WalkCounter(start=EMPTY, semilength=0)
         with pytest.raises(ValueError):
             counter.advance()
 
     def test_count_of_unseen_state(self):
-        counter = WalkCounter(start=EMPTY, end=EMPTY, total_steps=2)
+        counter = WalkCounter(start=EMPTY, semilength=1)
         assert counter.count_of(Partition((5,))) == 0
 
     def test_max_weight_is_peak_layer_cap(self):
         for s in range(6):
-            for e in range(6):
-                # with fewer than s - e steps the start is too heavy to reach the end
-                for steps in range(max(s - e, 0), 40):
+            for semilength in range(20):
+                for prune in (True, False):
                     counter = WalkCounter(
-                        start=Partition((1,) * s),
-                        end=Partition((1,) * e),
-                        total_steps=steps,
+                        start=Partition((1,) * s), semilength=semilength, prune=prune
                     )
-                    peak = max(counter._weight_cap(k) for k in range(steps + 1))
-                    assert counter.max_weight == peak
-
-    def test_start_too_heavy_for_end_rejected(self):
-        with pytest.raises(ValueError, match="too heavy"):
-            WalkCounter(start=Partition((1, 1, 1)), end=EMPTY, total_steps=1)
+                    steps = range(2 * semilength + 1)
+                    assert counter.max_weight == max(map(counter._weight_cap, steps))
 
     def test_max_states_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_states must be positive"):
-            WalkCounter(start=EMPTY, end=EMPTY, total_steps=2, max_states=0)
+        with pytest.raises(InvalidArgument, match="max_states must be positive"):
+            WalkCounter(start=EMPTY, semilength=1, max_states=0)
+
+    def test_negative_semilength_rejected(self):
+        with pytest.raises(InvalidArgument, match="semilength must be nonnegative"):
+            WalkCounter(start=EMPTY, semilength=-1)
+
+    @pytest.mark.parametrize("start", list(partitions_up_to_weight(3)), ids=str)
+    def test_heavier_starts_match_grammar_walk(self, start):
+        # every start of weight <= 3, not only <> and <1>, so the start's
+        # weight in max_weight and the prune are checked against a
+        # memoised walk over the grammar that prunes nothing
+        for allow_complex, allow_interim_empty, prune in product((True, False), repeat=3):
+            for semilength in range(4):
+                counter = WalkCounter(
+                    start,
+                    semilength,
+                    allow_complex=allow_complex,
+                    allow_interim_empty=allow_interim_empty,
+                    prune=prune,
+                )
+                expected = brute_returns(start, semilength, allow_complex, allow_interim_empty)
+                assert counter.run() == expected
 
     def test_state_table_read_by_benchmark_tracer(self):
         # perfbench/tracing.py reads layer, _succ and _interner after each step
-        total = 10
         counter = WalkCounter(
-            start=SINGLE_PLATE,
-            end=SINGLE_PLATE,
-            total_steps=total,
-            allow_interim_empty=False,
+            start=SINGLE_PLATE, semilength=5, allow_interim_empty=False
         )
         seen = {SINGLE_PLATE}
-        for _ in range(total):
+        for _ in range(10):
             before = list(counter.layer)
             expanded = [state for state, _ in counter.support()]
             counter.advance()
@@ -314,7 +335,7 @@ class TestYoungWalks:
         assert count_young_walks(4) == 3
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             count_young_walks(3)
 
     def test_double_factorial_identity(self):

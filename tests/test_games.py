@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plates_olives import games
+from plates_olives.counting import count_young_walks
 from plates_olives.errors import (
     CeilingExceeded,
     IllegalMove,
+    InvalidArgument,
     NotClosed,
     PrematureEmpty,
 )
@@ -265,7 +267,8 @@ class TestClosedWalks:
         [
             (lambda: enumerate_games(-1), ValueError),
             (lambda: enumerate_games(7), CeilingExceeded),
-            (lambda: young_closed_walks(3), ValueError),
+            (lambda: young_closed_walks(3), InvalidArgument),
+            (lambda: count_young_walks(3), InvalidArgument),
             (lambda: dyck_paths(-1), ValueError),
             (lambda: partitions_of_weight(-1), ValueError),
         ],
@@ -273,6 +276,7 @@ class TestClosedWalks:
             "enumerate_games(-1)",
             "enumerate_games(7)",
             "young_closed_walks(3)",
+            "count_young_walks(3)",
             "dyck_paths(-1)",
             "partitions_of_weight(-1)",
         ],
