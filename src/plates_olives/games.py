@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded, InvalidArgument, InvalidWalk, NotClosed, PrematureEmpty
 from .partitions import EMPTY, Move, MoveKind, Partition, legal_moves, apply_move
@@ -144,27 +144,18 @@ def parse_game(text: str) -> Game:
     return validate_game(Move.parse(tok) for tok in text.split())
 
 
-def _closed_walks(
-    length: int, allow_complex: bool, interim_empty: bool
-) -> Iterator[tuple[list[Move], list[Partition]]]:
-    """Depth-first, in move token order, over the closed walks of ``length``
-    moves from the empty table.  Each walk yields the walk's own (moves,
-    states) lists, which change as it goes on, so callers copy them.
+def _nodes(
+    allow_complex: bool, interim_empty: bool
+) -> Callable[[Partition, int], list[list]]:
+    """The node builder of one walk: ``node(state, left)`` is the cached
+    list of ``[move, successor, child]`` entries for the successors of
+    ``state`` that can still drain to the empty table in ``left`` moves,
+    and the empty table itself midway only with ``interim_empty``.
 
-    The walk runs over a lazily linked graph of nodes, one per (state,
-    moves left).  A node is a list of ``[move, successor, child]``
-    entries, one per successor that can still drain to the empty table,
-    and the empty table itself midway only with ``interim_empty``, so
-    each weight is tested once per node.  ``child`` is None until the
-    walk first goes down through the entry; then it is filled with the
-    successor's node, from a cache keyed by (state, moves left) that
-    entries from other parents share, and every later visit reads it
-    directly.  So a node exists only once the walk reaches it, and the
-    cache is asked once per entry, not once per visit.  Nodes are built
-    on ``legal_moves``, which is called once per distinct state.
-
-    One loop runs over a stack of iterators over the nodes of the current
-    walk, with no recursion.
+    ``child`` is None until a walk first goes down through the entry; the
+    walk then fills it with ``node(successor, left - 1)``.  Nodes are
+    built on ``legal_moves``, looked up when the builder is made and
+    called once per distinct state.
     """
     grammar = cache(legal_moves)
 
@@ -176,6 +167,29 @@ def _closed_walks(
             for move, nxt in grammar(state, allow_complex)
             if (w := nxt.weight) < left and (w or interim_empty or left == 1)
         ]
+
+    return node
+
+
+def _closed_walks(
+    length: int, allow_complex: bool, interim_empty: bool
+) -> Iterator[tuple[list[Move], list[Partition]]]:
+    """Depth-first, in move token order, over the closed walks of ``length``
+    moves from the empty table.  Each walk yields the walk's own (moves,
+    states) lists, which change as it goes on, so callers copy them.
+
+    The walk runs over a lazily linked graph of nodes from ``_nodes``,
+    one per (state, moves left), so each weight is tested once per node.
+    An entry's ``child`` is filled the first time the walk goes down
+    through it, from a cache keyed by (state, moves left) that entries
+    from other parents share, and every later visit reads it directly.
+    So a node exists only once the walk reaches it, and the cache is
+    asked once per entry, not once per visit.
+
+    One loop runs over a stack of iterators over the nodes of the current
+    walk, with no recursion.
+    """
+    node = _nodes(allow_complex, interim_empty)
 
     def walk() -> Iterator[tuple[list[Move], list[Partition]]]:
         moves: list[Move] = []
@@ -208,6 +222,15 @@ def _closed_walks(
     return walk()
 
 
+def _check_game_length(n: int, ceiling: int) -> None:
+    if n < 0:
+        raise InvalidArgument("game length must be nonnegative")
+    if n > ceiling:
+        raise CeilingExceeded(
+            f"exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"
+        )
+
+
 def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[Game]:
     """Every game of length ``n`` in lexicographic token order.
 
@@ -216,18 +239,14 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     that cannot finish at desk scale; pass a larger value to go further.
     Bad arguments raise at the call, before the walk starts.
     """
-    if n < 0:
-        raise InvalidArgument("game length must be nonnegative")
-    if n > ceiling:
-        raise CeilingExceeded(
-            f"exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"
-        )
+    _check_game_length(n, ceiling)
     return (Game(moves=tuple(moves)) for moves, _ in _closed_walks(2 * n + 2, True, False))
 
 
 def skeleton(game: Game) -> tuple[str, ...]:
     """The move-kind labels of a game, forgetting the parameters."""
-    return tuple(m.kind.value for m in game.moves)
+    # ``_value_`` is a plain attribute; ``.value`` is a Python-level property
+    return tuple(m.kind._value_ for m in game.moves)
 
 
 # The kinds game_stats tallies, read off the class once: on Python 3.11 a
@@ -273,6 +292,75 @@ def olive_dyck_path(game: Game) -> DyckPath:
 def stats_histogram(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Counter[GameStats]:
     """Histogram of the GameStats of every game of length ``n``."""
     return Counter(map(game_stats, enumerate_games(n, ceiling=ceiling)))
+
+
+# The column of each kind that game_stats tallies, keyed by token like
+# _OLIVE_STEP, and None for the kinds it does not tally.
+_TALLY_COLUMN = dict.fromkeys(_OLIVE_STEP) | {
+    kind._value_: column for column, kind in enumerate((_V_F, _V_L, _P_S, _P_C))
+}
+
+
+def game_tallies(
+    n: int, ceiling: int = DEFAULT_ORACLE_CEILING
+) -> Iterator[tuple[list[Move], list[int]]]:
+    """Every game of length ``n``, in the order of ``enumerate_games``,
+    with its tallies, and no ``Game`` built.
+
+    Each game yields (moves, tallies).  ``moves`` is the walk's own list,
+    which changes as it goes on, so callers copy it.  ``tallies`` is a new
+    list per game, ``[v_f, v_l, p_s, p_c, up, height, low]``: the
+    ``game_stats`` row, then the up-steps, final height and lowest height
+    of the olive projection.  So for every game, up is the semilength of
+    ``olive_dyck_path`` and height and low are 0.  The tallies after each
+    move ride on the walk's stack, and each move's effect is read from
+    the tables ``game_stats`` and ``olive_dyck_path`` use.
+
+    The walk runs over the same node graph as ``_closed_walks``, in a loop
+    of its own, so the plain walk carries no tallies.  Bad arguments raise
+    at the call, before the walk starts.
+    """
+    _check_game_length(n, ceiling)
+    length = 2 * n + 2
+    node = _nodes(True, False)
+    column, olive_step = _TALLY_COLUMN, _OLIVE_STEP
+
+    def walk() -> Iterator[tuple[list[Move], list[int]]]:
+        moves: list[Move] = []
+        stack = [iter(node(EMPTY, length))]
+        # p_s starts at -1: the closing P-s is forced, as in game_stats
+        tallies = [[0, 0, -1, 0, 0, 0, 0]]
+        while stack:
+            before = tallies[-1]
+            for entry in stack[-1]:
+                move, nxt, child = entry
+                moves.append(move)
+                kind = move.kind._value_
+                after = before.copy()
+                if (col := column[kind]) is not None:
+                    after[col] += 1
+                if step := olive_step[kind]:
+                    after[5] = height = after[5] + step
+                    if step > 0:
+                        after[4] += 1
+                    elif height < after[6]:
+                        after[6] = height
+                left = length - len(moves)
+                if left:
+                    if child is None:
+                        child = entry[2] = node(nxt, left)
+                    stack.append(iter(child))
+                    tallies.append(after)
+                    break
+                yield moves, after
+                moves.pop()
+            else:
+                stack.pop()
+                tallies.pop()
+                if moves:
+                    moves.pop()
+
+    return walk()
 
 
 def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:

@@ -45,7 +45,7 @@ TANGENT_TABLE = (1, 2, 16, 272, 7936)
 CATALAN_TABLE = (1, 1, 2, 5, 14)
 RATIO_AT_18 = Decimal("1.09206")
 RATIO_TOLERANCE = Decimal("0.00001")
-# the per-game claims are checked on every game up to this length
+# the claims suite reads the per-game claims of every game up to this length
 CLAIMS_MAX_N = 6
 
 
@@ -57,7 +57,7 @@ class CheckResult:
 
 
 # one pass over the games of length n: their number, then the detail of the
-# first game breaking each per-game claim (None if none does, or unchecked)
+# first game breaking each per-game claim (None if none does)
 SweepResult = tuple[int, str | None, str | None]
 Sweep = Callable[[int], SweepResult]
 
@@ -199,24 +199,26 @@ def suite_identities(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckR
     return out
 
 
-def _sweep_games(n: int, ceiling: int, claims: bool) -> SweepResult:
-    """Enumerate the games of length n once; with ``claims`` set, also
-    check the per-game claims on each of them."""
-    stream = games.enumerate_games(n, ceiling=ceiling)
-    if not claims:
-        return sum(1 for _ in stream), None, None
+def _sweep_games(n: int, ceiling: int) -> SweepResult:
+    """Walk the games of length n once with ``games.game_tallies``: count
+    them, and check the per-game claims on each from its tallies.  A game's
+    text is built only for the first offender of each claim."""
     seen = 0
     bad_tally = bad_dyck = None
-    for seen, game in enumerate(stream, 1):
-        stats = games.game_stats(game)
-        if bad_tally is None and (stats.v + stats.p != n or stats.p_c > stats.v_f):
-            bad_tally = f"stats violation in {game.text}"
-        if bad_dyck is None:
-            try:
-                if games.olive_dyck_path(game).semilength != stats.v:
-                    bad_dyck = f"dyck semilength mismatch in {game.text}"
-            except ValueError as exc:  # the projection is no Dyck path at all
-                bad_dyck = f"{exc} in {game.text}"
+    walk = games.game_tallies(n, ceiling=ceiling)
+    for seen, (moves, (v_f, v_l, p_s, p_c, up, height, low)) in enumerate(walk, 1):
+        v = v_f + v_l
+        if bad_tally is None and (v + p_s + p_c != n or p_c > v_f):
+            bad_tally = f"stats violation in {games.Game(tuple(moves)).text}"
+        if bad_dyck is None and (low < 0 or height or up != v):
+            # the faults in the order the olive projection's DyckPath finds them
+            if low < 0:
+                fault = "path dips below the axis"
+            elif height:
+                fault = "path does not end at height 0"
+            else:
+                fault = "dyck semilength mismatch"
+            bad_dyck = f"{fault} in {games.Game(tuple(moves)).text}"
     return seen, bad_tally, bad_dyck
 
 
@@ -336,13 +338,13 @@ def run_suites(
 ) -> list[tuple[str, CheckResult]]:
     """Run the named suites in order; results are (suite, check) pairs.
 
-    The games of each length are enumerated at most once per run, and the
-    per-game claims ride along on that pass only when ``claims`` is run.
+    The games of each length are walked at most once per run, by one
+    pass that both counts them for ``oracle`` and checks the per-game
+    claims on them for ``claims``, whichever of the two suites is run.
     """
     if ceiling < 0:
         raise InvalidArgument("oracle ceiling must be nonnegative")
-    claims = "claims" in names
-    sweep = cache(lambda n: _sweep_games(n, ceiling, claims and n <= CLAIMS_MAX_N))
+    sweep = cache(lambda n: _sweep_games(n, ceiling))
     out: list[tuple[str, CheckResult]] = []
     for name in names:
         for result in SUITES[name](ceiling, max_states, sweep):

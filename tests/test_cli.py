@@ -12,7 +12,7 @@ from plates_olives import analysis, counting, games
 from plates_olives.cli import CacheFile, main
 from plates_olives.errors import PlatesOlivesError
 from plates_olives.counting import count_games
-from plates_olives.games import DyckPath, enumerate_games, parse_game
+from plates_olives.games import enumerate_games, parse_game
 
 GOLDEN_COUNT_TABLE = "n  count\n0      1\n1      2\n2     10\n3     76\n4    772\n"
 # SHA-256 of the full ``verify`` stdout, the same digest the benchmark pins
@@ -186,14 +186,14 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS [paper-values] ") for line in lines[:-1])
 
     def test_all_suites(self, capsys, monkeypatch):
-        real = games.enumerate_games
+        real = games.game_tallies
         lengths = []
 
         def counted(n, ceiling):
             lengths.append(n)
             return real(n, ceiling=ceiling)
 
-        monkeypatch.setattr(games, "enumerate_games", counted)
+        monkeypatch.setattr(games, "game_tallies", counted)
         rc, out, _ = run(capsys, ["verify"])
         assert rc == 0
         # the oracle and claims suites share one pass per game length
@@ -225,19 +225,17 @@ class TestVerifyCommand:
         assert out.endswith("FAIL: 1 failed\n")
 
     def test_each_claim_names_its_own_first_offender(self, capsys, monkeypatch):
-        real_stats, real_path = games.game_stats, games.olive_dyck_path
+        real = games.game_tallies
 
-        def stats(game):
-            # one merge too many is an impossible tally: v + p = n + 1
-            tally = real_stats(game)
-            return tally._replace(p_c=tally.p_c + 1) if tally.p_c else tally
+        def tallies(n, ceiling):
+            for moves, (v_f, v_l, p_s, p_c, up, height, low) in real(n, ceiling=ceiling):
+                if p_c:  # one merge too many is an impossible tally: v + p = n + 1
+                    p_c += 1
+                if n == 2:  # one olive round trip too many: semilength v + 1
+                    up += 1
+                yield moves, [v_f, v_l, p_s, p_c, up, height, low]
 
-        def path(game):
-            real = real_path(game)
-            return DyckPath((1, -1) * (real.semilength + 1)) if game.n == 2 else real
-
-        monkeypatch.setattr(games, "game_stats", stats)
-        monkeypatch.setattr(games, "olive_dyck_path", path)
+        monkeypatch.setattr(games, "game_tallies", tallies)
         first_merge = next(
             g.text for n in range(7) for g in enumerate_games(n) if "P-c" in g.text
         )
@@ -274,20 +272,22 @@ class TestVerifyCommand:
         assert out.endswith("FAIL: 1 failed\n")
 
     def test_olive_projection_that_is_no_dyck_path_fails(self, capsys, monkeypatch):
-        real_path = games.olive_dyck_path
-        first_of_two = next(enumerate_games(2)).text
+        real = games.game_tallies
+        first_of_two = next(enumerate_games(2))
 
-        def path(game):
-            if game.text == first_of_two:
-                return DyckPath((-1, 1))
-            return real_path(game)
+        def tallies(n, ceiling):
+            for moves, tally in real(n, ceiling=ceiling):
+                if n == 2 and tuple(moves) == first_of_two.moves:
+                    # the olive path of DyckPath((-1, 1)): lowest height -1
+                    tally = [*tally[:4], 1, 0, -1]
+                yield moves, tally
 
-        monkeypatch.setattr(games, "olive_dyck_path", path)
+        monkeypatch.setattr(games, "game_tallies", tallies)
         rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
         assert rc == 1
         assert (
             "FAIL [claims] olive-dyck-projection: path dips below the axis in "
-            f"{first_of_two}\n" in out
+            f"{first_of_two.text}\n" in out
         )
         assert "PASS [claims] per-game-move-tallies" in out
         assert out.endswith("FAIL: 1 failed\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from plates_olives.errors import (
 )
 from plates_olives.games import (
     DyckPath,
+    Game,
     enumerate_games,
     game_stats,
+    game_tallies,
     olive_dyck_path,
     parse_game,
     skeleton,
@@ -267,6 +270,8 @@ class TestClosedWalks:
         [
             (lambda: enumerate_games(-1), ValueError),
             (lambda: enumerate_games(7), CeilingExceeded),
+            (lambda: game_tallies(-1), InvalidArgument),
+            (lambda: game_tallies(7), CeilingExceeded),
             (lambda: young_closed_walks(3), InvalidArgument),
             (lambda: count_young_walks(3), InvalidArgument),
             (lambda: dyck_paths(-1), ValueError),
@@ -275,6 +280,8 @@ class TestClosedWalks:
         ids=[
             "enumerate_games(-1)",
             "enumerate_games(7)",
+            "game_tallies(-1)",
+            "game_tallies(7)",
             "young_closed_walks(3)",
             "count_young_walks(3)",
             "dyck_paths(-1)",
@@ -290,9 +297,10 @@ class TestClosedWalks:
         "walks, allow_complex",
         [
             (lambda: [g.trace for g in enumerate_games(3)], True),
+            (lambda: [Game(tuple(moves)).trace for moves, _ in game_tallies(3)], True),
             (lambda: list(young_closed_walks(6)), False),
         ],
-        ids=["games", "young-walks"],
+        ids=["games", "game-tallies", "young-walks"],
     )
     def test_one_grammar_call_per_distinct_state(self, monkeypatch, walks, allow_complex):
         calls = []
@@ -326,8 +334,9 @@ class TestClosedWalks:
             # 601 states, and 602 moves
             (lambda: next(young_closed_walks(600)), 601, 301),
             (lambda: next(enumerate_games(300, ceiling=300)).moves, 602, 302),
+            (lambda: next(game_tallies(300, ceiling=300))[0], 602, 302),
         ],
-        ids=["young_closed_walks(600)", "enumerate_games(300)"],
+        ids=["young_closed_walks(600)", "enumerate_games(300)", "game_tallies(300)"],
     )
     def test_walk_is_lazy(self, monkeypatch, first, size, most_calls):
         # the first walk builds only the nodes along it; an eager graph
@@ -337,6 +346,31 @@ class TestClosedWalks:
         walk = first()
         assert len(walk) == size
         assert len(calls) <= most_calls
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_tallies_match_games_stats_and_projection(self, n):
+        # the tally walk against the plain walk, game_stats and the olive
+        # Dyck path, game by game in order
+        walked = game_tallies(n)
+        for game, (moves, tallies) in zip(enumerate_games(n), walked, strict=True):
+            assert " ".join(map(str, moves)) == game.text
+            assert tuple(tallies[:4]) == game_stats(game)
+            up, height, low = tallies[4:]
+            path = olive_dyck_path(game)
+            assert up == path.semilength
+            assert (height, low) == (path.heights()[-1], min(path.heights()))
+
+    def test_tallies_track_a_path_that_dips(self, monkeypatch):
+        # no game's olive path dips, so flip the walk's olive steps: every
+        # projection with an olive then runs below the axis and back
+        flipped = {kind: -step for kind, step in games._OLIVE_STEP.items()}
+        monkeypatch.setattr(games, "_OLIVE_STEP", flipped)
+        for n in range(4):
+            walked = game_tallies(n)
+            for game, (_, tallies) in zip(enumerate_games(n), walked, strict=True):
+                steps = [flipped[m.kind._value_] for m in game.moves]
+                heights = list(accumulate(steps, initial=0))
+                assert tallies[4:] == [steps.count(1), heights[-1], min(heights)]
 
     def test_counters_pinned_by_benchmark_selftest(self, monkeypatch):
         # perfbench/selftest.py pins games.states_expanded = 12 and

@@ -1,8 +1,9 @@
 """Golden CLI output: exit code, SHA-256 of stdout and the exact stderr.
 
 The table pins every output format of ``count``, ``ratio``, ``bounds`` and
-``enumerate`` plus their error paths, so a refactor behind the CLI shows up
-here the moment one byte moves.  After a deliberate change to an output
+``enumerate``, the ``claims`` and ``oracle`` suites of ``verify`` run alone,
+and their error paths, so a refactor behind the CLI shows up here the
+moment one byte moves.  After a deliberate change to an output
 format, print the new table with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff before pasting it in.
 
@@ -47,6 +48,9 @@ def _commands() -> list[tuple[str, ...]]:
     for emit in ("games", "skeletons", "histogram"):
         for n in range(5):
             argvs.append(("enumerate", "--n", str(n), "--emit", emit))
+    # the two suites that read verify's pass over the games, each alone
+    for suite in ("claims", "oracle"):
+        argvs.append(("verify", "--suite", suite, "--oracle-ceiling", "4"))
     for variant in ("first-return", "closed", "young"):
         argvs.append(("count", "--max-n", "-1", "--variant", variant))
     argvs.append(("ratio", "--max-n", "0"))
@@ -100,6 +104,8 @@ GOLDEN = {
     ('enumerate', '--n', '2', '--emit', 'histogram'): (0, '15ce2cf39c674cc475b6a9822c1bb37b8643f0c5435b2e3ccca322941cf97e9e', ''),
     ('enumerate', '--n', '3', '--emit', 'histogram'): (0, 'd43807525e23fd9b0f65412ae0122ccd9cca6f9553180113c1d33a9f9514cebd', ''),
     ('enumerate', '--n', '4', '--emit', 'histogram'): (0, '186ea6fa09b143b33d7f1fbf331cb53c1a1973b16e43200bbf970a5c44d6a7a1', ''),
+    ('verify', '--suite', 'claims', '--oracle-ceiling', '4'): (0, 'be44497ea0bd19f2400c0a79c7163f22695eb16a71ed273c4bfcb7064d9ea6f0', ''),
+    ('verify', '--suite', 'oracle', '--oracle-ceiling', '4'): (0, '062bfa7ccfdcca00606fd24015d915dfc9903ff70bc181f851a59d86b77a25d0', ''),
     ('count', '--max-n', '-1', '--variant', 'first-return'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be nonnegative\n'),
     ('count', '--max-n', '-1', '--variant', 'closed'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be nonnegative\n'),
     ('count', '--max-n', '-1', '--variant', 'young'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_semilength must be nonnegative\n'),
