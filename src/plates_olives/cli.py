@@ -183,7 +183,9 @@ def _resolve_counts(
     self_check: bool = False,
 ) -> list[int]:
     hits: list[int] = []
-    if cache is not None:
+    # arguments the counter rejects skip the cache, so its error is the
+    # same with or without one
+    if cache is not None and max_n >= 0 and max_states >= 1:
         rows = cache.counts[variant]
         # stop at the first missing row, so a huge max_n reaches the
         # counter's state budget without max_n lookups first

@@ -9,10 +9,13 @@ propagates exact integer counts one step at a time over interned states,
 so one pass to 2n reads off every shorter count along the way.
 
 Two relatives of the game count are closed walks too, from the empty
-partition back to itself, and share all of this machinery.  With empty
-revisits allowed they count a coarser equivalence, and walks restricted
-to single-box moves are exactly the closed walks in Young's lattice,
-counted by the double factorial (2n - 1)!!.
+partition back to itself, and share all of this machinery.  They may
+pass through the empty table on the way, so they count a coarser
+equivalence, and walks restricted to single-box moves are exactly the
+closed walks in Young's lattice, counted by the double factorial
+(2n - 1)!!.  So the kernel's one rule for the empty table follows from
+the start: a walk from the empty table may revisit it, and a walk from
+any other state never touches it.
 
 The kernel's move rule, ``legal_moves``, acts on raw part tuples and
 shares no code with the grammar of ``partitions`` that the oracle walks.
@@ -75,20 +78,17 @@ class WalkCounter:
     as ``Partition``s.  A state's successor list is built once, from this
     module's ``legal_moves``, with its heavier targets first: every move
     changes the weight by one, so the weight cap and the ban on the empty
-    table are decided once per source state, never per edge.  Options:
+    table are decided once per source state, never per edge.
 
-    ``prune``
-        With ``prune=True`` states too heavy to get back to ``start`` in
-        the remaining steps are discarded as they arise: after k steps the
-        cap is ``start.weight + min(k, T - k)``.  So ``max_weight`` is
-        ``start.weight + semilength``, against ``start.weight + T``
-        unpruned, and no count changes.
+    States too heavy to get back to ``start`` in the remaining steps are
+    discarded as they arise: after k steps the cap is ``start.weight +
+    min(k, T - k)``, so ``max_weight`` is ``start.weight + semilength``,
+    and no count changes.  The empty table is allowed exactly when it is
+    the start: a walk from any other state never touches it.  Options:
+
     ``allow_complex``
         When False the P-c moves are dropped and the graph becomes
         Young's lattice plus empty-plate bookkeeping.
-    ``allow_interim_empty``
-        When False the empty partition is forbidden except as the final
-        state of the full walk, when it is the start.
     ``max_states``
         Turns runaway growth of the state table into a ResourceLimit
         instead of memory exhaustion.
@@ -99,8 +99,6 @@ class WalkCounter:
         start: Partition,
         semilength: int,
         allow_complex: bool = True,
-        allow_interim_empty: bool = True,
-        prune: bool = True,
         max_states: int = DEFAULT_STATE_LIMIT,
     ) -> None:
         if semilength < 0:
@@ -110,11 +108,9 @@ class WalkCounter:
         self.start = start
         self.total_steps = 2 * semilength
         self.allow_complex = allow_complex
-        self.allow_interim_empty = allow_interim_empty
-        self.prune = prune
         self.max_states = max_states
-        # the peak of _weight_cap(k): halfway when pruned, at the end if not
-        self.max_weight = start.weight + (semilength if prune else self.total_steps)
+        # the peak of _weight_cap(k), halfway through the walk
+        self.max_weight = start.weight + semilength
         self._interner: dict[Parts, int] = {start.parts: 0}
         self._states: list[Parts] = [start.parts]
         self._weights: list[int] = [start.weight]
@@ -149,16 +145,14 @@ class WalkCounter:
         return targets
 
     def _weight_cap(self, k: int) -> int:
-        return self.start.weight + (min(k, self.total_steps - k) if self.prune else k)
+        return self.start.weight + min(k, self.total_steps - k)
 
     def advance(self) -> None:
         if self.step_index >= self.total_steps:
             raise ValueError("walk already advanced to its full length")
         k = self.step_index + 1
         cap = self._weight_cap(k)
-        empty_ok = self.allow_interim_empty or (
-            k == self.total_steps and self.start.is_empty
-        )
+        empty_ok = self.start.is_empty
         succ, split, weights = self._succ, self._split, self._weights
         nxt: dict[int, int] = {}
         for sid, ways in self.layer.items():
@@ -197,7 +191,7 @@ class WalkCounter:
 
 
 def _even_layer_counts(
-    start: Partition, semilength: int, max_states: int, **walk_options
+    start: Partition, semilength: int, max_states: int, allow_complex: bool = True
 ) -> list[int]:
     """Walk counts from ``start`` back to itself at lengths 0, 2, ..., 2 *
     ``semilength``, all out of one pass.
@@ -205,7 +199,7 @@ def _even_layer_counts(
     The weight prune for the longest walk keeps every state a shorter walk
     could use, so the intermediate layers are read off exactly.
     """
-    counter = WalkCounter(start, semilength, max_states=max_states, **walk_options)
+    counter = WalkCounter(start, semilength, allow_complex, max_states)
     counts = [counter.count_of(start)]
     for _ in range(semilength):
         counter.advance()
@@ -222,9 +216,7 @@ def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> li
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return _even_layer_counts(
-        SINGLE_PLATE, max_n, max_states, allow_interim_empty=False
-    )
+    return _even_layer_counts(SINGLE_PLATE, max_n, max_states)
 
 
 def count_games(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from plates_olives import analysis, counting, games
-from plates_olives.cli import CacheFile, main
+from plates_olives.cli import VARIANTS, CacheFile, main
 from plates_olives.errors import PlatesOlivesError
 from plates_olives.counting import count_games
 from plates_olives.games import enumerate_games, parse_game
@@ -532,6 +532,31 @@ class TestCache:
         assert (rc, out) == (0, GOLDEN_COUNT_TABLE + "5   9856\n")
         assert err == f"warning: cache {cache} ignored: malformed counts table\n"
         assert json.loads(cache.read_text())["counts"]["first-return"]["5"] == "9856"
+
+    # rows 0..3 of every variant are cached, so a hit could serve these;
+    # the counter's own error must come out as it does without a cache,
+    # and the file must stay as it was
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["count", "--max-n", "-1", "--variant", v] for v in VARIANTS),
+            *([table, "--max-n", "-1"] for table in ("ratio", "bounds")),
+            *([cmd, "--max-n", "3", "--max-states", "0"] for cmd in ("count", "ratio", "bounds")),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_argument_is_rejected_as_without_a_cache(self, capsys, tmp_path, argv):
+        cache = tmp_path / "counts.json"
+        for variant in VARIANTS:
+            run(capsys, ["count", "--max-n", "3", "--variant", variant, "--cache", str(cache)])
+        filled = cache.read_bytes()
+        missing = tmp_path / "missing.json"
+        uncached = rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "") and err.startswith("error: ")
+        assert run(capsys, argv + ["--cache", str(missing)]) == uncached
+        assert run(capsys, argv + ["--cache", str(cache)]) == uncached
+        assert not missing.exists()
+        assert cache.read_bytes() == filled
 
     def test_huge_request_fails_before_reading_every_row(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"

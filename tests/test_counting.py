@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import product
 
 import pytest
 
@@ -114,20 +113,12 @@ class TestGameCounts:
         assert [count_games(n) for n in range(9)] == through
 
     def test_first_return_reduction(self):
-        # counting directly as empty-to-empty walks that avoid interim
-        # empties must agree with the forced-endpoint reduction
-        for n in range(6):
-            counter = WalkCounter(
-                start=EMPTY, semilength=n + 1, allow_interim_empty=False
-            )
-            assert counter.run() == count_games(n)
-
-    def test_prune_soundness(self):
-        for n in range(9):
-            unpruned = WalkCounter(
-                start=SINGLE_PLATE, semilength=n, allow_interim_empty=False, prune=False
-            )
-            assert unpruned.run() == count_games(n)
+        # the kernel's forced-endpoint, weight-pruned count against walks
+        # of grammar moves that prune nothing: from the empty table back
+        # to it for the first time, and from <1> back to <1> without it
+        for n, count in enumerate(count_games_through(8)):
+            assert brute_returns(EMPTY, n + 1, True, False) == count
+            assert brute_returns(SINGLE_PLATE, n, True, False) == count
 
     def test_determinism(self):
         assert str(count_games(12)) == str(count_games(12))
@@ -150,9 +141,7 @@ class TestGameCounts:
 class TestWalkCounter:
     def test_layer_weight_support(self):
         # every live state at layer k weighs at most 1 + min(k, 12 - k)
-        counter = WalkCounter(
-            start=SINGLE_PLATE, semilength=6, allow_interim_empty=False
-        )
+        counter = WalkCounter(start=SINGLE_PLATE, semilength=6)
         for k in range(1, 13):
             counter.advance()
             cap = 1 + min(k, 12 - k)
@@ -174,12 +163,9 @@ class TestWalkCounter:
     def test_max_weight_is_peak_layer_cap(self):
         for s in range(6):
             for semilength in range(20):
-                for prune in (True, False):
-                    counter = WalkCounter(
-                        start=Partition((1,) * s), semilength=semilength, prune=prune
-                    )
-                    steps = range(2 * semilength + 1)
-                    assert counter.max_weight == max(map(counter._weight_cap, steps))
+                counter = WalkCounter(start=Partition((1,) * s), semilength=semilength)
+                steps = range(2 * semilength + 1)
+                assert counter.max_weight == max(map(counter._weight_cap, steps))
 
     def test_max_states_must_be_positive(self):
         with pytest.raises(InvalidArgument, match="max_states must be positive"):
@@ -192,25 +178,18 @@ class TestWalkCounter:
     @pytest.mark.parametrize("start", list(partitions_up_to_weight(3)), ids=str)
     def test_heavier_starts_match_grammar_walk(self, start):
         # every start of weight <= 3, not only <> and <1>, so the start's
-        # weight in max_weight and the prune are checked against a
-        # memoised walk over the grammar that prunes nothing
-        for allow_complex, allow_interim_empty, prune in product((True, False), repeat=3):
+        # weight in max_weight, the prune and the start's empty-table rule
+        # are checked against a memoised walk over the grammar that prunes
+        # nothing
+        for allow_complex in (True, False):
             for semilength in range(4):
-                counter = WalkCounter(
-                    start,
-                    semilength,
-                    allow_complex=allow_complex,
-                    allow_interim_empty=allow_interim_empty,
-                    prune=prune,
-                )
-                expected = brute_returns(start, semilength, allow_complex, allow_interim_empty)
+                counter = WalkCounter(start, semilength, allow_complex=allow_complex)
+                expected = brute_returns(start, semilength, allow_complex, start.is_empty)
                 assert counter.run() == expected
 
     def test_state_table_read_by_benchmark_tracer(self):
         # perfbench/tracing.py reads layer, _succ and _interner after each step
-        counter = WalkCounter(
-            start=SINGLE_PLATE, semilength=5, allow_interim_empty=False
-        )
+        counter = WalkCounter(start=SINGLE_PLATE, semilength=5)
         seen = {SINGLE_PLATE}
         for _ in range(10):
             before = list(counter.layer)
