@@ -6,7 +6,9 @@ two moves leaves a walk of length 2n on the move graph that starts and
 ends at <1> and never touches the empty partition.  ``WalkCounter``
 counts such closed walks from one start state and a semilength: it
 propagates exact integer counts one step at a time over interned states,
-so one pass to 2n reads off every shorter count along the way.
+and its one readout, ``counts()``, takes every even-length count off
+that single pass to 2n.  The six ``count_*`` functions read it for the
+three families.
 
 Two relatives of the game count are closed walks too, from the empty
 partition back to itself, and share all of this machinery.  They may
@@ -71,14 +73,15 @@ class WalkCounter:
     """Layer-by-layer counts of the closed walks from ``start``.
 
     The counter starts with mass 1 on ``start``, each ``advance()`` pushes
-    the whole layer through the legal moves, and ``run()`` returns the
-    walks back at ``start`` after T = 2 * ``semilength`` steps.  States
-    are raw part tuples, interned with ids in first-seen order, so a
-    deterministic caller gets deterministic ids; ``support()`` wraps them
-    as ``Partition``s.  A state's successor list is built once, from this
-    module's ``legal_moves``, with its heavier targets first: every move
-    changes the weight by one, so the weight cap and the ban on the empty
-    table are decided once per source state, never per edge.
+    the whole layer through the legal moves, and ``counts()``, its one
+    readout, returns the walks back at ``start`` after every even number
+    of steps up to T = 2 * ``semilength``.  States are raw part tuples,
+    interned with ids in first-seen order, so a deterministic caller gets
+    deterministic ids; ``support()`` wraps them as ``Partition``s.  A
+    state's successor list is built once, from this module's
+    ``legal_moves``, with its heavier targets first: every move changes
+    the weight by one, so the weight cap and the ban on the empty table
+    are decided once per source state, never per edge.
 
     States too heavy to get back to ``start`` in the remaining steps are
     discarded as they arise: after k steps the cap is ``start.weight +
@@ -174,38 +177,29 @@ class WalkCounter:
         self.layer = nxt
         self.step_index = k
 
-    def run(self) -> int:
-        """Advance to the full length and return the count back at ``start``."""
+    def counts(self) -> list[int]:
+        """Advance a fresh counter to its full length and return the walks
+        back at ``start`` after 0, 2, ..., 2 * ``semilength`` steps.
+
+        The weight prune for the longest walk keeps every state a shorter
+        walk could use, so the shorter counts are read off exactly.  A
+        counter that has already advanced would give a short list, so it
+        raises ValueError.
+        """
+        if self.step_index:
+            raise ValueError("counts() needs a counter that has not advanced")
+        # start is interned as state 0
+        counts = [self.layer.get(0, 0)]
         while self.step_index < self.total_steps:
             self.advance()
-        return self.count_of(self.start)
-
-    def count_of(self, state: Partition) -> int:
-        # an unseen state has no id, and None is never a layer key
-        return self.layer.get(self._interner.get(state.parts), 0)
+            self.advance()
+            counts.append(self.layer.get(0, 0))
+        return counts
 
     def support(self) -> list[tuple[Partition, int]]:
         """Current layer as (state, count) pairs, in state-id order."""
         layer = sorted(self.layer.items())
         return [(Partition(self._states[sid]), ways) for sid, ways in layer]
-
-
-def _even_layer_counts(
-    start: Partition, semilength: int, max_states: int, allow_complex: bool = True
-) -> list[int]:
-    """Walk counts from ``start`` back to itself at lengths 0, 2, ..., 2 *
-    ``semilength``, all out of one pass.
-
-    The weight prune for the longest walk keeps every state a shorter walk
-    could use, so the intermediate layers are read off exactly.
-    """
-    counter = WalkCounter(start, semilength, allow_complex, max_states)
-    counts = [counter.count_of(start)]
-    for _ in range(semilength):
-        counter.advance()
-        counter.advance()
-        counts.append(counter.count_of(start))
-    return counts
 
 
 def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> list[int]:
@@ -216,7 +210,7 @@ def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> li
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return _even_layer_counts(SINGLE_PLATE, max_n, max_states)
+    return WalkCounter(SINGLE_PLATE, max_n, max_states=max_states).counts()
 
 
 def count_games(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -231,7 +225,7 @@ def count_closed_walks_through(
     empties allowed) for every n from 0 to ``max_n``."""
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return _even_layer_counts(EMPTY, max_n + 1, max_states)[1:]
+    return WalkCounter(EMPTY, max_n + 1, max_states=max_states).counts()[1:]
 
 
 def count_closed_walks(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -251,7 +245,7 @@ def count_young_walks_through(
     out of one pass."""
     if max_semilength < 0:
         raise InvalidArgument("max_semilength must be nonnegative")
-    return _even_layer_counts(EMPTY, max_semilength, max_states, allow_complex=False)
+    return WalkCounter(EMPTY, max_semilength, False, max_states).counts()
 
 
 def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:

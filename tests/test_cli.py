@@ -8,11 +8,12 @@ import tracemalloc
 
 import pytest
 
-from plates_olives import analysis, counting, games
+from plates_olives import analysis, counting, games, partitions
 from plates_olives.cli import VARIANTS, CacheFile, main
 from plates_olives.errors import PlatesOlivesError
 from plates_olives.counting import count_games
 from plates_olives.games import enumerate_games, parse_game
+from plates_olives.partitions import MoveKind, Partition
 
 GOLDEN_COUNT_TABLE = "n  count\n0      1\n1      2\n2     10\n3     76\n4    772\n"
 # SHA-256 of the full ``verify`` stdout, the same digest the benchmark pins
@@ -251,6 +252,29 @@ class TestVerifyCommand:
             f"{first_of_two}\n" in out
         )
         assert out.endswith("FAIL: 2 failed\n")
+
+    def test_profile_off_by_one_fails_only_its_check(self, capsys, monkeypatch):
+        real = partitions.move_capacity_profile
+
+        def profile(state):
+            counts = real(state)
+            if state == Partition((3, 3)):  # one P-c, still within its cap
+                counts[MoveKind.PLATE_REMOVE_COMPLEX] += 1
+            return counts
+
+        monkeypatch.setattr(partitions, "move_capacity_profile", profile)
+        argv = ["verify", "--suite", "claims", "--oracle-ceiling", "2"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 1
+        assert out.splitlines() == [
+            "PASS [claims] distinct-part-sizes-capped",
+            "PASS [claims] move-capacity-caps",
+            "FAIL [claims] profile-matches-legal-moves: weight <= 20",
+            "PASS [claims] transition-graph-simple",
+            "PASS [claims] per-game-move-tallies",
+            "PASS [claims] olive-dyck-projection",
+            "FAIL: 1 failed",
+        ]
 
     @pytest.mark.parametrize("suite", ["paper-values", "identities", "oracle", "bounds"])
     def test_every_counting_suite_honours_max_states(self, capsys, suite):

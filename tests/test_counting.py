@@ -156,9 +156,12 @@ class TestWalkCounter:
         with pytest.raises(ValueError):
             counter.advance()
 
-    def test_count_of_unseen_state(self):
-        counter = WalkCounter(start=EMPTY, semilength=1)
-        assert counter.count_of(Partition((5,))) == 0
+    def test_counts_after_advance_rejected(self):
+        # an advanced counter would return a short list, not an error
+        counter = WalkCounter(start=EMPTY, semilength=2)
+        counter.advance()
+        with pytest.raises(ValueError, match="has not advanced"):
+            counter.counts()
 
     def test_max_weight_is_peak_layer_cap(self):
         for s in range(6):
@@ -180,12 +183,12 @@ class TestWalkCounter:
         # every start of weight <= 3, not only <> and <1>, so the start's
         # weight in max_weight, the prune and the start's empty-table rule
         # are checked against a memoised walk over the grammar that prunes
-        # nothing
+        # nothing; one counter per start gives every shorter count too
         for allow_complex in (True, False):
-            for semilength in range(4):
-                counter = WalkCounter(start, semilength, allow_complex=allow_complex)
-                expected = brute_returns(start, semilength, allow_complex, start.is_empty)
-                assert counter.run() == expected
+            counter = WalkCounter(start, 3, allow_complex=allow_complex)
+            assert counter.counts() == [
+                brute_returns(start, s, allow_complex, start.is_empty) for s in range(4)
+            ]
 
     def test_state_table_read_by_benchmark_tracer(self):
         # perfbench/tracing.py reads layer, _succ and _interner after each step

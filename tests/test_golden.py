@@ -8,7 +8,8 @@ format, print the new table with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff before pasting it in.
 
 Below the table, the order in which the enumeration oracle's walks come
-out is pinned past the sizes the table reaches.
+out is pinned past the sizes the table reaches, and the README's command
+line examples are run as written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +194,48 @@ def test_table_covers_every_command():
 @pytest.mark.parametrize("argv", _commands(), ids=" ".join)
 def test_golden_output(argv):
     assert run_cli(argv) == GOLDEN[argv]
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, expected stdout lines) of each example in the README's
+    "Command line" block; examples are separated by blank lines."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for example in block.strip().split("\n\n"):
+        command, *expected = example.splitlines()
+        examples.append((command, expected))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert README_EXAMPLES
+    assert all(command.startswith("$ plates-olives ") for command, _ in README_EXAMPLES)
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [pytest.param(c, e, id=c.removeprefix("$ plates-olives ")) for c, e in README_EXAMPLES],
+)
+def test_readme_example(command, expected):
+    # `| tail -1` keeps the last line of stdout; a `...` line stands for
+    # any number of lines
+    argv = command.removeprefix("$ plates-olives ")
+    tail = argv.endswith(" | tail -1")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv.removesuffix(" | tail -1").split())
+    lines = out.getvalue().splitlines()
+    if tail:
+        lines = lines[-1:]
+    pattern = "".join(
+        r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in expected
+    )
+    assert rc == 0
+    assert re.fullmatch(pattern, "".join(line + "\n" for line in lines))
 
 
 @pytest.mark.skipif(
