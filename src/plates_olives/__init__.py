@@ -76,7 +76,7 @@ from .references import (
     dyck_paths,
     tangent_numbers,
     updown_numbers,
-    weighted_dyck_sum_by_dp,
+    weighted_dyck_sum_by_dp_through,
     weighted_dyck_sum_by_enumeration,
 )
 

@@ -7,9 +7,11 @@ that bracket the limit.  Neither constant is a pointwise bound at small
 n (already at n = 1 the count 2 exceeds (4/e) * 1^1), so the envelope
 columns are informational and nothing here asserts them row by row.
 
-All ratios are computed with the decimal module at fixed precision,
-taking exp(ln(M_n)/n) on the exact integer count.  Counts stay exact
-Python integers throughout; no machine float ever touches one.
+Both tables print the counts they are given, [M_0..M_max_n], and never
+count themselves.  All ratios are computed with the decimal module at
+fixed precision, taking exp(ln(M_n)/n) on the exact integer count.
+Counts stay exact Python integers throughout; no machine float ever
+touches one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
-from .counting import count_games_through
 from .errors import InvalidArgument, PlatesOlivesError
 from .references import double_factorial
 
@@ -49,17 +50,6 @@ def check_table_size(max_n: int) -> None:
         raise InvalidArgument("max_n must be at least 1")
 
 
-def _game_counts(max_n: int, counts: list[int] | None) -> list[int]:
-    """[M_0..M_max_n] for a table over n = 1..max_n: the caller's counts
-    when given (the cache path supplies them), else computed here."""
-    check_table_size(max_n)
-    if counts is None:
-        counts = count_games_through(max_n)
-    if len(counts) < max_n + 1:
-        raise ValueError("counts must cover n = 0..max_n")
-    return counts
-
-
 @dataclass(frozen=True)
 class RatioReport:
     """One row of the ratio table: the exact count, its normalized n-th
@@ -87,9 +77,9 @@ class BoundReport:
     crude_envelope: int
 
 
-def ratio_table(max_n: int, counts: list[int] | None = None) -> list[RatioReport]:
-    """RatioReports for n = 1..max_n from one counting pass."""
-    counts = _game_counts(max_n, counts)
+def ratio_table(counts: list[int]) -> list[RatioReport]:
+    """RatioReports for n = 1..len(counts) - 1 from the counts M_0, M_1, ..."""
+    check_table_size(len(counts) - 1)
     with localcontext() as ctx:
         ctx.prec = RATIO_PRECISION
         e = Decimal(1).exp()
@@ -97,7 +87,7 @@ def ratio_table(max_n: int, counts: list[int] | None = None) -> list[RatioReport
         upper = Decimal(4) / e
     out: list[RatioReport] = []
     previous: Decimal | None = None
-    for n in range(1, max_n + 1):
+    for n in range(1, len(counts)):
         ratio = nth_root_ratio(counts[n], n)
         violation = previous is not None and ratio >= previous
         out.append(
@@ -114,17 +104,17 @@ def ratio_table(max_n: int, counts: list[int] | None = None) -> list[RatioReport
     return out
 
 
-def bound_table(max_n: int, counts: list[int] | None = None) -> list[BoundReport]:
-    """BoundReports for n = 1..max_n.
+def bound_table(counts: list[int]) -> list[BoundReport]:
+    """BoundReports for n = 1..len(counts) - 1 from the counts M_0, M_1, ...
 
     The double factorial (2n - 1)!! is a proven lower bound and is
     checked here, and a count below it raises PlatesOlivesError; the
     envelope columns (2/e)^n n^n, (4/e)^n n^n and the crude 108^n n^n are
     reported for reading only.
     """
-    counts = _game_counts(max_n, counts)
+    check_table_size(len(counts) - 1)
     out: list[BoundReport] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, len(counts)):
         lower = double_factorial(2 * n - 1)
         if counts[n] < lower:
             raise PlatesOlivesError(

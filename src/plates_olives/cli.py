@@ -315,7 +315,7 @@ def cmd_table(args: argparse.Namespace, out: IO[str]) -> int:
     )
     records = [
         _record(asdict(row).items(), args.decimal_cell)
-        for row in args.table(args.max_n, counts=counts)
+        for row in args.table(counts)
     ]
     _emit_rows(list(records[0]), records, args.format, out)
     return 0

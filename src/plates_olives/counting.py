@@ -139,13 +139,16 @@ class WalkCounter:
                     states.append(parts)
                     weights.append(w)
                 targets.append(tid)
-        if len(states) > self.max_states:
+        self._check_size(len(states))
+        self._succ[sid] = targets
+        return targets
+
+    def _check_size(self, states: int) -> None:
+        if states > self.max_states:
             raise ResourceLimit(
                 f"more than {self.max_states} distinct states; "
                 "raise max_states to continue"
             )
-        self._succ[sid] = targets
-        return targets
 
     def _weight_cap(self, k: int) -> int:
         return self.start.weight + min(k, self.total_steps - k)
@@ -202,6 +205,32 @@ class WalkCounter:
         return [(Partition(self._states[sid]), ways) for sid, ways in layer]
 
 
+def _partitions_through(max_weight: int, limit: int) -> int:
+    """The partitions of weight <= ``max_weight``, by Euler's pentagonal
+    recurrence, summed only until they pass ``limit``: a huge weight costs
+    a few dozen terms."""
+    p = [1]  # p[w], the partitions of w
+    total = 1
+    while len(p) <= max_weight and total <= limit:
+        w, term, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= w:  # pentagonal g and g + k
+            pair = p[w - g] + (p[w - g - k] if g + k <= w else 0)
+            term += pair if k % 2 else -pair
+            k += 1
+        p.append(term)
+        total += term
+    return total
+
+
+def _family_counts(counter: WalkCounter) -> list[int]:
+    """``counter.counts()``, failing before any work when the table would
+    pass ``max_states``: each family's walk interns exactly the partitions
+    of weight <= ``max_weight``, or just its start when it takes no step."""
+    if counter.total_steps:
+        counter._check_size(_partitions_through(counter.max_weight, counter.max_states))
+    return counter.counts()
+
+
 def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> list[int]:
     """Game counts for every n from 0 to ``max_n`` out of a single pass.
 
@@ -210,7 +239,7 @@ def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> li
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return WalkCounter(SINGLE_PLATE, max_n, max_states=max_states).counts()
+    return _family_counts(WalkCounter(SINGLE_PLATE, max_n, max_states=max_states))
 
 
 def count_games(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -225,7 +254,7 @@ def count_closed_walks_through(
     empties allowed) for every n from 0 to ``max_n``."""
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return WalkCounter(EMPTY, max_n + 1, max_states=max_states).counts()[1:]
+    return _family_counts(WalkCounter(EMPTY, max_n + 1, max_states=max_states))[1:]
 
 
 def count_closed_walks(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -245,7 +274,7 @@ def count_young_walks_through(
     out of one pass."""
     if max_semilength < 0:
         raise InvalidArgument("max_semilength must be nonnegative")
-    return WalkCounter(EMPTY, max_semilength, False, max_states).counts()
+    return _family_counts(WalkCounter(EMPTY, max_semilength, False, max_states))
 
 
 def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:

@@ -108,15 +108,6 @@ class DyckPath:
             out.append(out[-1] + s)
         return tuple(out)
 
-    def step_heights(self) -> tuple[int, ...]:
-        """Per step, the y-coordinate of its lower end."""
-        out = []
-        h = 0
-        for s in self.steps:
-            out.append(h if s == 1 else h - 1)
-            h += s
-        return tuple(out)
-
 
 def validate_game(moves: Iterable[Move]) -> Game:
     """Replay ``moves`` from the empty table and certify the game shape.

@@ -111,11 +111,6 @@ class Move:
             return (i + 1,), (i,)
         return (i + 1, j + 1), (i + j + 1,)
 
-    @property
-    def weight_delta(self) -> int:
-        taken, put = self.exchange
-        return sum(put) - sum(taken)
-
     def token(self) -> str:
         kind = self.kind
         if kind is MoveKind.OLIVE_ADD_LATER or kind is MoveKind.OLIVE_REMOVE:
@@ -168,11 +163,6 @@ class Partition:
     @property
     def is_empty(self) -> bool:
         return not self.parts
-
-    @property
-    def has_empty_plate(self) -> bool:
-        # parts are nonincreasing, so any part 1 sits at the end
-        return bool(self.parts) and self.parts[-1] == 1
 
     def occupancy(self) -> dict[int, int]:
         """Map olive count -> number of plates carrying exactly that many."""

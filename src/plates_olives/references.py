@@ -120,11 +120,6 @@ def weighted_dyck_sum_by_dp_through(max_v: int) -> list[int]:
     return out
 
 
-def weighted_dyck_sum_by_dp(v: int) -> int:
-    """Same sum as the enumeration, folded over (position, height)."""
-    return weighted_dyck_sum_by_dp_through(v)[-1]
-
-
 def updown_numbers(limit: int) -> list[int]:
     """Zig-zag (up-down) numbers E_0 .. E_limit by the boustrophedon
     transform of the sequence 1, 0, 0, ..."""

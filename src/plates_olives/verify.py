@@ -245,7 +245,7 @@ def suite_bounds(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
         all(counts[n] >= references.double_factorial(2 * n - 1) for n in range(1, 19)),
         "M_n >= (2n-1)!! for n <= 18",
     )
-    table = analysis.ratio_table(18, counts=counts)
+    table = analysis.ratio_table(counts)
     _check(
         out,
         "ratio-strictly-decreasing",
@@ -260,7 +260,7 @@ def suite_bounds(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
         "interim returns only add walks, n <= 8",
     )
     try:
-        analysis.bound_table(18, counts=counts)
+        analysis.bound_table(counts)
         _check(out, "bound-table-builds", True, "n <= 18")
     except PlatesOlivesError as exc:
         _check(out, "bound-table-builds", False, str(exc))

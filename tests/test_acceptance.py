@@ -38,7 +38,7 @@ from plates_olives.references import (
     count_zigzag_permutations,
     double_factorial,
     tangent_numbers,
-    weighted_dyck_sum_by_dp,
+    weighted_dyck_sum_by_dp_through,
     weighted_dyck_sum_by_enumeration,
 )
 from plates_olives.verify import renewal_closed_counts
@@ -85,7 +85,7 @@ def test_criterion_2_quoted_closed_walk_values():
 
 def test_criterion_3_ratio_at_18():
     started = time.perf_counter()
-    rows = ratio_table(18)
+    rows = ratio_table(count_games_through(18))
     elapsed = time.perf_counter() - started
     assert abs(rows[-1].ratio - Decimal("1.09206")) < Decimal("0.00001")
     for prev, cur in zip(rows, rows[1:]):
@@ -126,8 +126,9 @@ def test_criterion_5_constructive_lower_bound():
 def test_criterion_6_identity_suite():
     for v in range(13):
         assert weighted_dyck_sum_by_enumeration(v) == double_factorial(2 * v - 1)
-    for v in range(201):
-        assert weighted_dyck_sum_by_dp(v) == double_factorial(2 * v - 1)
+    assert weighted_dyck_sum_by_dp_through(200) == [
+        double_factorial(2 * v - 1) for v in range(201)
+    ]
     for n in range(11):
         assert count_young_walks(2 * n) == double_factorial(2 * n - 1)
         assert count_proper_dyck_paths(n) == catalan(n)
@@ -168,7 +169,7 @@ def test_criterion_8_asymptotics_stay_informational():
     # desk scale they are reported, never asserted pointwise.  the
     # n = 1 row already shows why: the upper envelope sits below the
     # actual count there.
-    rows = bound_table(12)
+    rows = bound_table(count_games_through(12))
     first = rows[0]
     assert first.envelope_upper < first.count
     for row in rows:

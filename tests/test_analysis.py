@@ -13,6 +13,7 @@ from plates_olives.analysis import (
     ratio_table,
 )
 from plates_olives.counting import count_games_through
+from plates_olives.errors import InvalidArgument
 from plates_olives.references import double_factorial
 
 SIX = Decimal("0.000001")
@@ -57,25 +58,25 @@ class TestNthRootRatio:
 
 class TestRatioTable:
     def test_first_rows(self):
-        rows = ratio_table(2)
+        rows = ratio_table(count_games_through(2))
         assert rows[0].n == 1
         assert rows[0].count == 2
         assert rows[0].ratio.quantize(SIX) == Decimal("2.000000")
         assert rows[1].ratio.quantize(SIX) == Decimal("1.581139")
 
     def test_monotone_through_18(self):
-        rows = ratio_table(18)
+        rows = ratio_table(count_games_through(18))
         assert [row.monotone_violation for row in rows] == [False] * 18
         for prev, cur in zip(rows, rows[1:]):
             assert cur.ratio < prev.ratio
 
     def test_deep_ratio_value(self):
-        rows = ratio_table(18)
+        rows = ratio_table(count_games_through(18))
         target = Decimal("1.09206")
         assert abs(rows[-1].ratio - target) < Decimal("0.00001")
 
     def test_envelope_columns(self):
-        rows = ratio_table(3)
+        rows = ratio_table(count_games_through(3))
         for row in rows:
             assert row.lower_envelope < row.upper_envelope
             # both scale like n^n, so at n=1 they bracket (2/e, 4/e)
@@ -83,28 +84,26 @@ class TestRatioTable:
         assert rows[0].upper_envelope.quantize(SIX) == Decimal("1.471518")
 
     def test_caller_supplied_counts(self):
-        counts = count_games_through(5)
-        rows = ratio_table(5, counts=counts)
-        assert rows[-1].count == 9856
-
-    def test_short_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_table(5, counts=[1, 2, 10])
+        # the table prints the counts it is given, counted or not
+        rows = ratio_table([1, 2, 10, 76, 772, 9856])
+        assert [row.count for row in rows] == [2, 10, 76, 772, 9856]
 
     def test_zero_rows_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_table(0)
+        with pytest.raises(InvalidArgument, match="max_n must be at least 1"):
+            ratio_table(count_games_through(0))
+        with pytest.raises(InvalidArgument, match="max_n must be at least 1"):
+            bound_table([])
 
 
 class TestBoundTable:
     def test_lower_bound_column(self):
-        rows = bound_table(10)
+        rows = bound_table(count_games_through(10))
         for row in rows:
             assert row.double_factorial_lower == double_factorial(2 * row.n - 1)
             assert row.count >= row.double_factorial_lower
 
     def test_crude_envelope_exact_integer(self):
-        rows = bound_table(3)
+        rows = bound_table(count_games_through(3))
         assert [row.crude_envelope for row in rows] == [
             108,
             108**2 * 2**2,
@@ -112,12 +111,12 @@ class TestBoundTable:
         ]
 
     def test_envelope_columns_are_decimals(self):
-        row = bound_table(1)[0]
+        row = bound_table(count_games_through(1))[0]
         assert row.envelope_lower.quantize(SIX) == Decimal("0.735759")
         assert row.envelope_upper.quantize(SIX) == Decimal("1.471518")
 
     def test_envelopes_are_not_pointwise_bounds(self):
         # the asymptotic envelope sits below the actual count at n=1,
         # so the table records it without asserting a pointwise order
-        row = bound_table(1)[0]
+        row = bound_table(count_games_through(1))[0]
         assert row.envelope_upper < row.count

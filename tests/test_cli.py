@@ -72,6 +72,24 @@ class TestCount:
         assert out == ""
         assert err != ""
 
+    def test_no_step_game_needs_one_state(self, capsys):
+        argv = ["count", "--max-n", "0", "--max-states", "1", "--format", "csv"]
+        rc, out, _ = run(capsys, argv)
+        assert (rc, out) == (0, "n,count\n0,1\n")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_oversized_request_fails_before_any_work(self, capsys, monkeypatch, variant):
+        # n = 63 needs at least 10,566,509 states in every variant, past the
+        # default budget; a state the counter expands would fail the test
+        # rather than fill memory
+        def no_work(*args):
+            raise AssertionError("expanded a state past the budget")
+
+        monkeypatch.setattr(counting, "legal_moves", no_work)
+        rc, out, err = run(capsys, ["count", "--max-n", "63", "--variant", variant])
+        assert (rc, out) == (1, "")
+        assert err == "error: more than 10000000 distinct states; raise max_states to continue\n"
+
 
 class TestEnumerate:
     def test_zero_saddles(self, capsys):
@@ -283,7 +301,7 @@ class TestVerifyCommand:
         assert err == "error: more than 5 distinct states; raise max_states to continue\n"
 
     def test_bound_table_failure_is_reported(self, capsys, monkeypatch):
-        def below_bound(max_n, counts):
+        def below_bound(counts):
             raise PlatesOlivesError("count 1 at n=3 fell below the proven bound 15")
 
         monkeypatch.setattr(analysis, "bound_table", below_bound)

@@ -9,6 +9,7 @@ import pytest
 
 from plates_olives import counting, partitions
 from plates_olives.counting import (
+    DEFAULT_STATE_LIMIT,
     WalkCounter,
     count_closed_walks,
     count_closed_walks_through,
@@ -40,7 +41,6 @@ from plates_olives.references import (
     dyck_paths,
     tangent_numbers,
     updown_numbers,
-    weighted_dyck_sum_by_dp,
     weighted_dyck_sum_by_dp_through,
     weighted_dyck_sum_by_enumeration,
 )
@@ -132,6 +132,48 @@ class TestGameCounts:
         # a huge n must hit the budget at once, not loop over its length first
         with pytest.raises(ResourceLimit):
             count_games(10**8, max_states=20)
+
+    def test_state_table_size_known_in_advance(self):
+        # each family's walk interns exactly the partitions of weight <=
+        # max_weight, or only its start when it takes no step
+        sizes = Counter(state.weight for state in partitions_up_to_weight(22))
+        for w in range(23):
+            total = sum(sizes[v] for v in range(w + 1))
+            assert counting._partitions_through(w, 10**9) == total
+        for n in range(21):
+            for start, semilength, allow_complex in (
+                (SINGLE_PLATE, n, True),  # games
+                (EMPTY, n + 1, True),  # closed walks
+                (EMPTY, n, False),  # Young walks
+            ):
+                counter = WalkCounter(start, semilength, allow_complex)
+                counter.counts()
+                predicted = counting._partitions_through(counter.max_weight, 10**9)
+                assert len(counter._interner) == (predicted if semilength else 1)
+
+    def test_partition_sum_stops_once_past_limit(self):
+        # 1, 2, 4, 7, 12 partitions of weight <= 0..4: stop at the first above 10
+        assert counting._partitions_through(10**9, 10) == 12
+        assert counting._partitions_through(62, 10**9) == 9_061_010
+        assert counting._partitions_through(63, 10**9) == 10_566_509
+
+    @pytest.mark.parametrize(
+        "count_through", [count_games_through, count_closed_walks_through]
+    )
+    def test_state_budget_checked_before_any_work(self, monkeypatch, count_through):
+        # Σ_{w <= 11} p(w) = 195 states for n = 10: the budget's edge, both
+        # ways; past it nothing is expanded, so a huge request costs nothing
+        assert count_through(10, max_states=195)[-1] == count_through(10)[-1]
+
+        def no_work(*args):
+            raise AssertionError("expanded a state past the budget")
+
+        monkeypatch.setattr(counting, "legal_moves", no_work)
+        for max_n, max_states in ((10, 194), (62, DEFAULT_STATE_LIMIT), (10**9, 10**12)):
+            with pytest.raises(ResourceLimit, match=f"more than {max_states} distinct"):
+                count_through(max_n, max_states=max_states)
+        with pytest.raises(ResourceLimit):
+            count_young_walks_through(10**9)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -398,26 +440,25 @@ class TestLiftYoungWalk:
 
 class TestWeightedDyckSum:
     def test_tiny_cases(self):
-        for route in (weighted_dyck_sum_by_enumeration, weighted_dyck_sum_by_dp):
-            assert route(0) == 1
-            assert route(1) == 1
-            # semilength 2: UUDD weighs 1*2, UDUD weighs 1*1
-            assert route(2) == 3
+        # semilength 2: UUDD weighs 1*2, UDUD weighs 1*1
+        assert [weighted_dyck_sum_by_enumeration(v) for v in range(3)] == [1, 1, 3]
+        assert weighted_dyck_sum_by_dp_through(2) == [1, 1, 3]
 
     def test_value_at_eight(self):
         assert weighted_dyck_sum_by_enumeration(8) == 2027025 == double_factorial(15)
 
     def test_routes_agree(self):
-        for v in range(10):
-            assert weighted_dyck_sum_by_enumeration(v) == weighted_dyck_sum_by_dp(v)
+        sums = weighted_dyck_sum_by_dp_through(9)
+        assert sums == [weighted_dyck_sum_by_enumeration(v) for v in range(10)]
 
     def test_double_factorial_identity_dp(self):
-        for v in range(60):
-            assert weighted_dyck_sum_by_dp(v) == double_factorial(2 * v - 1)
+        sums = weighted_dyck_sum_by_dp_through(59)
+        assert sums == [double_factorial(2 * v - 1) for v in range(60)]
 
     def test_one_fold_gives_every_semilength(self):
         sums = weighted_dyck_sum_by_dp_through(40)
-        assert sums == [weighted_dyck_sum_by_dp(v) for v in range(41)]
+        # a fold to v alone caps the height lower, and gives the same sum
+        assert sums == [weighted_dyck_sum_by_dp_through(v)[-1] for v in range(41)]
         assert sums == [double_factorial(2 * v - 1) for v in range(41)]
         assert weighted_dyck_sum_by_dp_through(0) == [1]
         with pytest.raises(ValueError):

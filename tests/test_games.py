@@ -119,7 +119,8 @@ class TestValidateGame:
                 assert len(game.trace) == 2 * n + 3
                 assert game.trace[0] == EMPTY and game.trace[-1] == EMPTY
                 assert not any(p.is_empty for p in game.trace[1:-1])
-                adds = sum(1 for m in game.moves if m.weight_delta == 1)
+                exchanges = [m.exchange for m in game.moves]
+                adds = sum(1 for taken, put in exchanges if sum(put) > sum(taken))
                 assert adds - 1 == n
 
 
@@ -238,7 +239,6 @@ class TestDyckPath:
     def test_heights(self):
         path = DyckPath((1, 1, -1, -1))
         assert path.heights() == (0, 1, 2, 1, 0)
-        assert path.step_heights() == (0, 1, 1, 0)
         assert path.semilength == 2
         assert DyckPath(()).heights() == (0,)
 

@@ -9,7 +9,7 @@ and review the diff before pasting it in.
 
 Below the table, the order in which the enumeration oracle's walks come
 out is pinned past the sizes the table reaches, and the README's command
-line examples are run as written.
+line and library examples are run as written.
 """
 
 from __future__ import annotations
@@ -196,11 +196,16 @@ def test_golden_output(argv):
     assert run_cli(argv) == GOLDEN[argv]
 
 
+def _readme_block(opening: str) -> str:
+    """The README's fenced block that starts with ``opening``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split(opening, 1)[1].split("```", 1)[0]
+
+
 def _readme_examples() -> list[tuple[str, list[str]]]:
     """(command, expected stdout lines) of each example in the README's
     "Command line" block; examples are separated by blank lines."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("## Command line\n\n```\n")
     examples = []
     for example in block.strip().split("\n\n"):
         command, *expected = example.splitlines()
@@ -236,6 +241,22 @@ def test_readme_example(command, expected):
     )
     assert rc == 0
     assert re.fullmatch(pattern, "".join(line + "\n" for line in lines))
+
+
+def test_readme_library_example():
+    # each `expr  # result` line: the result, cut at its first ", " or
+    # "...", must start the repr of expr; other lines just run
+    namespace: dict = {}
+    checked = []
+    for line in _readme_block("## Library\n\n```python\n").splitlines():
+        code, _, result = line.partition("  # ")
+        if not result:
+            exec(code, namespace)
+            continue
+        expected = re.split(r", |\.\.\.", result, maxsplit=1)[0]
+        assert repr(eval(code, namespace)).startswith(expected), line
+        checked.append(code.strip())
+    assert "ratio_table(count_games_through(18))[-1].ratio" in checked
 
 
 @pytest.mark.skipif(
