@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded, InvalidArgument, InvalidWalk, NotClosed, PrematureEmpty
 from .partitions import EMPTY, Move, MoveKind, Partition, legal_moves, apply_move
@@ -138,15 +138,13 @@ def parse_game(text: str) -> Game:
 def _nodes(
     allow_complex: bool, interim_empty: bool
 ) -> Callable[[Partition, int], list[list]]:
-    """The node builder of one walk: ``node(state, left)`` is the cached
-    list of ``[move, successor, child]`` entries for the successors of
-    ``state`` that can still drain to the empty table in ``left`` moves,
+    """The node builder of a plain walk: ``node(state, left)`` is the
+    cached list of ``[move, successor, child]`` entries for the successors
+    of ``state`` that can still drain to the empty table in ``left`` moves,
     and the empty table itself midway only with ``interim_empty``.
 
-    ``child`` is None until a walk first goes down through the entry; the
-    walk then fills it with ``node(successor, left - 1)``.  Nodes are
-    built on ``legal_moves``, looked up when the builder is made and
-    called once per distinct state.
+    Nodes are built on ``legal_moves``, looked up when the builder is made
+    and called once per distinct state.
     """
     grammar = cache(legal_moves)
 
@@ -163,54 +161,47 @@ def _nodes(
 
 
 def _closed_walks(
-    length: int, allow_complex: bool, interim_empty: bool
-) -> Iterator[tuple[list[Move], list[Partition]]]:
+    length: int, node: Callable[[Hashable, int], list[list]], start: Hashable = EMPTY
+) -> Iterator[tuple[list[Move], list]]:
     """Depth-first, in move token order, over the closed walks of ``length``
-    moves from the empty table.  Each walk yields the walk's own (moves,
-    states) lists, which change as it goes on, so callers copy them.
+    moves from ``start``.  Each walk yields the walk's own (moves, keys)
+    lists, which change as it goes on, so callers copy them.
 
-    The walk runs over a lazily linked graph of nodes from ``_nodes``,
-    one per (state, moves left), so each weight is tested once per node.
-    An entry's ``child`` is filled the first time the walk goes down
-    through it, from a cache keyed by (state, moves left) that entries
-    from other parents share, and every later visit reads it directly.
-    So a node exists only once the walk reaches it, and the cache is
-    asked once per entry, not once per visit.
-
-    One loop runs over a stack of iterators over the nodes of the current
-    walk, with no recursion.
+    ``node(key, left)`` is the cached list of ``[move, next key, child]``
+    entries out of ``key`` with ``left`` moves to go; for ``_nodes`` the
+    keys are the states.  ``child`` is None until the walk first goes
+    down through the entry, and the walk then fills it with ``node(next
+    key, left - 1)``, which entries from other parents share.  So a node
+    exists only once the walk reaches it, and the builder is asked once
+    per entry, not once per visit.  One loop runs over a stack of
+    iterators over the nodes of the current walk, with no recursion.
     """
-    node = _nodes(allow_complex, interim_empty)
-
-    def walk() -> Iterator[tuple[list[Move], list[Partition]]]:
-        moves: list[Move] = []
-        states = [EMPTY]
-        if not length:
-            yield moves, states
-            return
-        stack = [iter(node(EMPTY, length))]
-        while stack:
-            for entry in stack[-1]:
-                move, nxt, child = entry
-                moves.append(move)
-                states.append(nxt)
-                left = length - len(moves)
-                if left:
-                    if child is None:
-                        child = entry[2] = node(nxt, left)
-                    stack.append(iter(child))
-                    break
-                yield moves, states
+    moves: list[Move] = []
+    keys = [start]
+    if not length:
+        yield moves, keys
+        return
+    stack = [iter(node(start, length))]
+    while stack:
+        for entry in stack[-1]:
+            move, nxt, child = entry
+            moves.append(move)
+            keys.append(nxt)
+            left = length - len(moves)
+            if left:
+                if child is None:
+                    child = entry[2] = node(nxt, left)
+                stack.append(iter(child))
+                break
+            yield moves, keys
+            moves.pop()
+            keys.pop()
+        else:
+            # every entry of the node at keys[-1] is done: step back
+            stack.pop()
+            if moves:
                 moves.pop()
-                states.pop()
-            else:
-                # every entry of the node at states[-1] is done: step back
-                stack.pop()
-                if moves:
-                    moves.pop()
-                    states.pop()
-
-    return walk()
+                keys.pop()
 
 
 def _check_game_length(n: int, ceiling: int) -> None:
@@ -231,7 +222,8 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     Bad arguments raise at the call, before the walk starts.
     """
     _check_game_length(n, ceiling)
-    return (Game(moves=tuple(moves)) for moves, _ in _closed_walks(2 * n + 2, True, False))
+    walks = _closed_walks(2 * n + 2, _nodes(True, False))
+    return (Game(moves=tuple(moves)) for moves, _ in walks)
 
 
 def skeleton(game: Game) -> tuple[str, ...]:
@@ -294,64 +286,51 @@ _TALLY_COLUMN = dict.fromkeys(_OLIVE_STEP) | {
 
 def game_tallies(
     n: int, ceiling: int = DEFAULT_ORACLE_CEILING
-) -> Iterator[tuple[list[Move], list[int]]]:
+) -> Iterator[tuple[list[Move], tuple[int, ...]]]:
     """Every game of length ``n``, in the order of ``enumerate_games``,
     with its tallies, and no ``Game`` built.
 
     Each game yields (moves, tallies).  ``moves`` is the walk's own list,
-    which changes as it goes on, so callers copy it.  ``tallies`` is a new
-    list per game, ``[v_f, v_l, p_s, p_c, up, height, low]``: the
-    ``game_stats`` row, then the up-steps, final height and lowest height
-    of the olive projection.  So for every game, up is the semilength of
-    ``olive_dyck_path`` and height and low are 0.  The tallies after each
-    move ride on the walk's stack, and each move's effect is read from
-    the tables ``game_stats`` and ``olive_dyck_path`` use.
+    which changes as it goes on, so callers copy it.  ``tallies`` is the
+    tuple ``(v_f, v_l, p_s, p_c, up, height, low)``: the ``game_stats``
+    row, then the up-steps, final height and lowest height of the olive
+    projection.  So for every game, up is the semilength of
+    ``olive_dyck_path`` and height and low are 0.  Each move's effect is
+    read from the tables ``game_stats`` and ``olive_dyck_path`` use.
 
-    The walk runs over the same node graph as ``_closed_walks``, in a loop
-    of its own, so the plain walk carries no tallies.  Bad arguments raise
-    at the call, before the walk starts.
+    The walk is ``_closed_walks`` over nodes keyed by (state, tallies so
+    far), each built from the plain node of its state, so a move's
+    effect is folded once per node entry, not once per visit, and games
+    that end at the same node share one tallies tuple.  Bad arguments
+    raise at the call, before the walk starts.
     """
     _check_game_length(n, ceiling)
-    length = 2 * n + 2
-    node = _nodes(True, False)
+    plain = _nodes(True, False)
     column, olive_step = _TALLY_COLUMN, _OLIVE_STEP
 
-    def walk() -> Iterator[tuple[list[Move], list[int]]]:
-        moves: list[Move] = []
-        stack = [iter(node(EMPTY, length))]
-        # p_s starts at -1: the closing P-s is forced, as in game_stats
-        tallies = [[0, 0, -1, 0, 0, 0, 0]]
-        while stack:
-            before = tallies[-1]
-            for entry in stack[-1]:
-                move, nxt, child = entry
-                moves.append(move)
-                kind = move.kind._value_
-                after = before.copy()
-                if (col := column[kind]) is not None:
-                    after[col] += 1
-                if step := olive_step[kind]:
-                    after[5] = height = after[5] + step
-                    if step > 0:
-                        after[4] += 1
-                    elif height < after[6]:
-                        after[6] = height
-                left = length - len(moves)
-                if left:
-                    if child is None:
-                        child = entry[2] = node(nxt, left)
-                    stack.append(iter(child))
-                    tallies.append(after)
-                    break
-                yield moves, after
-                moves.pop()
-            else:
-                stack.pop()
-                tallies.pop()
-                if moves:
-                    moves.pop()
+    @cache
+    def node(key: tuple[Partition, tuple[int, ...]], left: int) -> list[list]:
+        state, before = key
+        entries = []
+        for move, nxt, _ in plain(state, left):
+            kind = move.kind._value_
+            after = list(before)
+            if (col := column[kind]) is not None:
+                after[col] += 1
+            if step := olive_step[kind]:
+                after[5] = height = after[5] + step
+                if step > 0:
+                    after[4] += 1
+                elif height < after[6]:
+                    after[6] = height
+            entries.append([move, (nxt, tuple(after)), None])
+        return entries
 
-    return walk()
+    # p_s starts at -1: the closing P-s is forced, as in game_stats
+    start = (EMPTY, (0, 0, -1, 0, 0, 0, 0))
+    return (
+        (moves, keys[-1][1]) for moves, keys in _closed_walks(2 * n + 2, node, start)
+    )
 
 
 def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
@@ -359,7 +338,7 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
         raise InvalidArgument("walk length must be even and nonnegative")
-    return (tuple(states) for _, states in _closed_walks(length, False, True))
+    return (tuple(states) for _, states in _closed_walks(length, _nodes(False, True)))
 
 
 def _single_box_move(before: Partition, after: Partition) -> Move:

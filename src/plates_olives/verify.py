@@ -338,6 +338,7 @@ def run_suites(
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> list[tuple[str, CheckResult]]:
     """Run the named suites in order; results are (suite, check) pairs.
+    Every name is checked before any suite runs.
 
     The games of each length are walked at most once per run, by one
     pass that both counts them for ``oracle`` and checks the per-game
@@ -345,6 +346,8 @@ def run_suites(
     """
     if ceiling < 0:
         raise InvalidArgument("oracle ceiling must be nonnegative")
+    if unknown := [name for name in names if name not in SUITES]:
+        raise InvalidArgument(f"unknown suite {', '.join(map(repr, unknown))}")
     sweep = cache(lambda n: _sweep_games(n, ceiling))
     out: list[tuple[str, CheckResult]] = []
     for name in names:

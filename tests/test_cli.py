@@ -8,9 +8,9 @@ import tracemalloc
 
 import pytest
 
-from plates_olives import analysis, counting, games, partitions
+from plates_olives import analysis, counting, games, partitions, verify
 from plates_olives.cli import VARIANTS, CacheFile, main
-from plates_olives.errors import PlatesOlivesError
+from plates_olives.errors import InvalidArgument, PlatesOlivesError
 from plates_olives.counting import count_games
 from plates_olives.games import enumerate_games, parse_game
 from plates_olives.partitions import MoveKind, Partition
@@ -338,6 +338,16 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+    def test_unknown_suite_name_fails_before_any_suite_runs(self, monkeypatch):
+        ran = []
+        for name in list(verify.SUITES):
+            monkeypatch.setitem(
+                verify.SUITES, name, lambda *args, name=name: ran.append(name) or []
+            )
+        with pytest.raises(InvalidArgument, match="unknown suite 'typo'"):
+            verify.run_suites(["paper-values", "typo"])
+        assert ran == []
 
 
 class TestCache:

@@ -370,7 +370,23 @@ class TestClosedWalks:
             for game, (_, tallies) in zip(enumerate_games(n), walked, strict=True):
                 steps = [flipped[m.kind._value_] for m in game.moves]
                 heights = list(accumulate(steps, initial=0))
-                assert tallies[4:] == [steps.count(1), heights[-1], min(heights)]
+                assert tallies[4:] == (steps.count(1), heights[-1], min(heights))
+
+    def test_tallies_fold_once_per_node_entry(self, monkeypatch):
+        # the walk reads each move's tally column when it builds a node
+        # entry, not again on every visit: 9,856 games at n = 5 pass
+        # through 40,754 moves, and far fewer entries
+        lookups = 0
+
+        class Counted(dict):
+            def __getitem__(self, kind):
+                nonlocal lookups
+                lookups += 1
+                return super().__getitem__(kind)
+
+        monkeypatch.setattr(games, "_TALLY_COLUMN", Counted(games._TALLY_COLUMN))
+        assert sum(1 for _ in game_tallies(5)) == 9856
+        assert 0 < lookups < 9856
 
     def test_counters_pinned_by_benchmark_selftest(self, monkeypatch):
         # perfbench/selftest.py pins games.states_expanded = 12 and
