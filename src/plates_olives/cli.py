@@ -321,15 +321,19 @@ def cmd_table(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
+def _add_max_states(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-states", type=int, default=DEFAULT_STATE_LIMIT,
+        help="abort counting beyond this many distinct states",
+    )
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default table)",
     )
-    parser.add_argument(
-        "--max-states", type=int, default=DEFAULT_STATE_LIMIT,
-        help="abort counting beyond this many distinct states",
-    )
+    _add_max_states(parser)
     parser.add_argument(
         "--cache", metavar="PATH", default=None,
         help="counts cache file (falls back to $OLIVE_CACHE)",
@@ -366,12 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument(
-        "--suite", choices=tuple(verify.SUITES) + ("all",), default="all"
+        "--suite", choices=tuple(verify.SUITES) + ("all",), default="all",
+        help="check suite to run (default all)",
     )
     p_verify.add_argument(
-        "--oracle-ceiling", type=int, default=games.DEFAULT_ORACLE_CEILING
+        "--oracle-ceiling", type=int, default=games.DEFAULT_ORACLE_CEILING,
+        help="largest n the oracle and claims suites walk",
     )
-    p_verify.add_argument("--max-states", type=int, default=DEFAULT_STATE_LIMIT)
+    _add_max_states(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ratio = sub.add_parser("ratio", help="growth-ratio table r_n = M_n^(1/n)/n")

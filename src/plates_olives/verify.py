@@ -16,7 +16,8 @@ bounds
     The proven double-factorial lower bound, ratio monotonicity, and
     coarse dominance relations between the count variants.
 claims
-    Per-state move-capacity caps and per-game structural invariants.
+    Per-state move-capacity caps, and per-game structural invariants on
+    every game the oracle walks: ``--oracle-ceiling`` bounds both suites.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ TANGENT_TABLE = (1, 2, 16, 272, 7936)
 CATALAN_TABLE = (1, 1, 2, 5, 14)
 RATIO_AT_18 = Decimal("1.09206")
 RATIO_TOLERANCE = Decimal("0.00001")
-# the claims suite reads the per-game claims of every game up to this length
-CLAIMS_MAX_N = 6
 
 
 @dataclass
@@ -301,16 +300,15 @@ def suite_claims(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
     _check(out, "profile-matches-legal-moves", profile_ok, "weight <= 20")
     _check(out, "transition-graph-simple", simple_ok, "weight <= 20")
 
-    top = min(ceiling, CLAIMS_MAX_N)
     bad_tally = bad_dyck = None
-    for n in range(top + 1):
+    for n in range(ceiling + 1):
         _, tally, dyck = sweep(n)
         bad_tally, bad_dyck = bad_tally or tally, bad_dyck or dyck
     _check(
         out,
         "per-game-move-tallies",
         not bad_tally,
-        bad_tally or f"v + p = n and p_c <= v_f, n <= {top}",
+        bad_tally or f"v + p = n and p_c <= v_f, n <= {ceiling}",
     )
     _check(
         out,
@@ -340,8 +338,9 @@ def run_suites(
     """Run the named suites in order; results are (suite, check) pairs.
     Every name is checked before any suite runs.
 
-    The games of each length are walked at most once per run, by one
-    pass that both counts them for ``oracle`` and checks the per-game
+    ``oracle`` and ``claims`` both read the games of every length
+    n <= ``ceiling``.  Each length is walked at most once per run, by one
+    pass that counts its games for ``oracle`` and checks the per-game
     claims on them for ``claims``, whichever of the two suites is run.
     """
     if ceiling < 0:

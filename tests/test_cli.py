@@ -223,6 +223,25 @@ class TestVerifyCommand:
         assert suites == {"paper-values", "identities", "oracle", "bounds", "claims"}
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
+    def test_claims_read_every_length_the_pass_walks(self, monkeypatch):
+        real = games.game_tallies
+        lengths = []
+
+        def tallies(n, ceiling):
+            lengths.append(n)
+            if n < 7:
+                return real(n, ceiling=ceiling)
+            # one game with an impossible tally, so no n = 7 game is walked
+            return iter([(list(parse_game("P+ P-s").moves), (0,) * 7)])
+
+        monkeypatch.setattr(games, "game_tallies", tallies)
+        checks = verify.run_suites(["claims"], ceiling=7)
+        results = {check.name: check for _, check in checks}
+        assert lengths == list(range(8))
+        tally = results["per-game-move-tallies"]
+        assert (tally.ok, tally.detail) == (False, "stats violation in P+ P-s")
+        assert results["olive-dyck-projection"].ok
+
     def test_negative_oracle_ceiling_rejected(self, capsys):
         rc, out, err = run(capsys, ["verify", "--suite", "claims", "--oracle-ceiling", "-1"])
         assert rc == 1

@@ -128,7 +128,7 @@ HELP_GOLDEN = {
     ('--help',): (0, '394665ff8af0e4a97a29f9b94fb5e8aaaff8acf6a473988bb4ca7fb4890ac099', ''),
     ('count', '--help'): (0, '5967f0f1716acb3a48f9aefe337da0715091c08a6a4e7ae4ce5058e74c423142', ''),
     ('enumerate', '--help'): (0, '6f42db295bd6080acccb2d0e0b7b381456540de2c0f348adfea5c0e229f43455', ''),
-    ('verify', '--help'): (0, 'dfe121b4054eb5192b9c37000d80afc8336f65d153a3163a36248ac401bbf572', ''),
+    ('verify', '--help'): (0, 'aaa7a56a81b5df38b7a3b2dbabeb65d9f59fb5d338b3a354ed94ec090b65dfd6', ''),
     ('ratio', '--help'): (0, 'a482cb3ccef84dd513de168d52028d805480e9769f35633ede216e94810b4247', ''),
     ('bounds', '--help'): (0, 'a9fe6e11507c18d267c7626e97efcde72d3c13f3ae3f1507321f36a7f4eeaaa7', ''),
 }
