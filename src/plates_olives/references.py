@@ -7,10 +7,8 @@ zig-zag numbers with a permutation filter, and the geometric class table.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import comb
-from operator import mul
 from typing import Iterator
 
 
@@ -31,63 +29,37 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _dyck_walk(semilength: int) -> tuple[list[int], Iterator[int]]:
-    """One loop, no recursion, over the Dyck paths of the given semilength,
-    up-steps before down-steps, so in descending lexicographic order.
-    Returns (steps, weights): each draw from ``weights`` rewrites ``steps``
-    in place to the next path and yields that path's weight, the product
-    over its up-steps of one plus the height the step leaves from.
+def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
+    """All Dyck paths of the given semilength as +1/-1 step tuples, up-steps
+    before down-steps, so in descending lexicographic order.
 
-    From (position, height) a path takes up-steps greedily, as many as can
-    still come back down, then the forced down-steps.  Each greedy up-step
-    from a height above 0 could have gone down instead, so it goes on a
-    stack as (position, height, weight of the up-steps the refill took
-    before it); the next path turns the last of them down and refills the
-    rest greedily.  The greedy rest depends on (position, height) only and
-    is built once per pair.  A second stack holds, per pending turn, the
-    weight of the path before the refill that pushed it, so each prefix
-    product is computed once, however many paths share the prefix.
+    One loop over a stack of (steps taken, last step, height) entries and
+    one live step list, whose first ``steps taken`` entries are the current
+    prefix, so no semilength raises ``RecursionError``.  A prefix whose
+    height equals the steps left can only go down from there, so it yields
+    at once, with those down-steps appended.  The argument is checked at
+    the call, before the walk starts.
     """
     if semilength < 0:
         raise ValueError("semilength must be nonnegative")
     total = 2 * semilength
-    steps: list[int] = []
 
-    @cache
-    def rest(pos: int, h: int) -> tuple[list[int], list[tuple[int, int, int]], int]:
-        ups = (total - pos - h) // 2
-        tail = [1] * ups + [-1] * (total - pos - ups)
-        # an up-step from height g weighs g + 1; head[k] weighs the first k
-        head = list(accumulate(range(h + 1, h + ups + 1), mul, initial=1))
-        turns = [(p, h + p - pos, head[p - pos]) for p in range(pos + (not h), pos + ups)]
-        return tail, turns, head[-1]
+    def walk() -> Iterator[tuple[int, ...]]:
+        steps = [0] * total
+        stack = [(0, 0, 0)]
+        while stack:
+            pos, step, h = stack.pop()
+            if pos:
+                steps[pos - 1] = step
+            if h == total - pos:
+                yield tuple(steps[:pos]) + (-1,) * h
+                continue
+            # pushed last, the up-step comes out first
+            if h:
+                stack.append((pos + 1, -1, h - 1))
+            stack.append((pos + 1, 1, h + 1))
 
-    def walk() -> Iterator[int]:
-        # copies: the cached lists are shared by every later refill
-        tail, turns, weight = rest(0, 0)
-        steps[:] = tail
-        pending = list(turns)
-        bases = [1] * len(turns)
-        yield weight
-        while pending:
-            pos, h, head = pending.pop()
-            before = bases.pop() * head  # the weight of steps[:pos]
-            steps[pos] = -1
-            tail, turns, weight = rest(pos + 1, h - 1)
-            steps[pos + 1 :] = tail
-            pending += turns
-            bases += [before] * len(turns)
-            yield before * weight
-
-    return steps, walk()
-
-
-def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
-    """All Dyck paths of the given semilength as +1/-1 step tuples, up-steps
-    before down-steps, so in descending lexicographic order.  A flat loop
-    (``_dyck_walk``), so no semilength raises ``RecursionError``."""
-    steps, weights = _dyck_walk(semilength)
-    return (tuple(steps) for _ in weights)
+    return walk()
 
 
 def count_proper_dyck_paths(n: int) -> int:
@@ -99,9 +71,27 @@ def count_proper_dyck_paths(n: int) -> int:
 
 def weighted_dyck_sum_by_enumeration(v: int) -> int:
     """Sum over Dyck paths of semilength v of the product, over up-steps,
-    of one plus the height the step leaves from: one term per path, each
-    carried along the walk's stack from the prefix it shares."""
-    return sum(_dyck_walk(v)[1])
+    of one plus the height the step leaves from.
+
+    One loop over a stack of (steps taken, height, weight so far) entries,
+    one entry per prefix.  A prefix whose height equals the steps left can
+    only go down from there, and down-steps leave the weight as it is, so
+    its weight is added at once: each path is one term.
+    """
+    if v < 0:
+        raise ValueError("semilength must be nonnegative")
+    total = 2 * v
+    out = 0
+    stack = [(0, 0, 1)]
+    while stack:
+        pos, h, weight = stack.pop()
+        if h == total - pos:
+            out += weight
+            continue
+        if h:
+            stack.append((pos + 1, h - 1, weight))
+        stack.append((pos + 1, h + 1, weight * (h + 1)))
+    return out
 
 
 def weighted_dyck_sum_by_dp_through(max_v: int) -> list[int]:

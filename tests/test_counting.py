@@ -450,6 +450,18 @@ class TestWeightedDyckSum:
     def test_routes_agree(self):
         sums = weighted_dyck_sum_by_dp_through(9)
         assert sums == [weighted_dyck_sum_by_enumeration(v) for v in range(10)]
+        # the sum and the path generator walk separate loops: weigh each
+        # generated path's up-steps by one plus the height they leave from
+        for v in range(10):
+            total = 0
+            for path in dyck_paths(v):
+                weight, height = 1, 0
+                for step in path:
+                    if step > 0:
+                        weight *= height + 1
+                    height += step
+                total += weight
+            assert total == sums[v]
 
     def test_double_factorial_identity_dp(self):
         sums = weighted_dyck_sum_by_dp_through(59)

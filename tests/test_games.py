@@ -38,7 +38,11 @@ from plates_olives.partitions import (
     legal_moves,
     partitions_of_weight,
 )
-from plates_olives.references import dyck_paths
+from plates_olives.references import (
+    count_proper_dyck_paths,
+    dyck_paths,
+    weighted_dyck_sum_by_enumeration,
+)
 
 # the two games of length 1: all plates, and one olive in and out
 TWO_PLATES = "P+ P+ P-s P-s"
@@ -275,6 +279,8 @@ class TestClosedWalks:
             (lambda: young_closed_walks(3), InvalidArgument),
             (lambda: count_young_walks(3), InvalidArgument),
             (lambda: dyck_paths(-1), ValueError),
+            (lambda: weighted_dyck_sum_by_enumeration(-1), ValueError),
+            (lambda: count_proper_dyck_paths(-1), ValueError),
             (lambda: partitions_of_weight(-1), ValueError),
         ],
         ids=[
@@ -285,6 +291,8 @@ class TestClosedWalks:
             "young_closed_walks(3)",
             "count_young_walks(3)",
             "dyck_paths(-1)",
+            "weighted_dyck_sum_by_enumeration(-1)",
+            "count_proper_dyck_paths(-1)",
             "partitions_of_weight(-1)",
         ],
     )
