@@ -29,7 +29,7 @@ any size.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from itertools import compress
 from operator import neg
 
 from .errors import InvalidArgument, ResourceLimit
@@ -50,9 +50,12 @@ def legal_moves(parts: Parts, allow_complex: bool) -> tuple[list[Parts], list[Pa
     """
     heavier, lighter = [parts + (1,)], []
     runs = []  # (part >= 2, index of its first copy, index of its last copy)
-    first = 0
-    for a, copies in Counter(parts).items():
-        last = first + copies - 1
+    first, size = 0, len(parts)
+    while first < size:
+        a = parts[first]
+        last = first
+        while last + 1 < size and parts[last + 1] == a:
+            last += 1
         heavier.append(parts[:first] + (a + 1,) + parts[first + 1 :])
         lighter.append(parts[:last] + (a - 1,) * (a > 1) + parts[last + 1 :])
         if a > 1:
@@ -72,16 +75,20 @@ def legal_moves(parts: Parts, allow_complex: bool) -> tuple[list[Parts], list[Pa
 class WalkCounter:
     """Layer-by-layer counts of the closed walks from ``start``.
 
-    The counter starts with mass 1 on ``start``, each ``advance()`` pushes
-    the whole layer through the legal moves, and ``counts()``, its one
+    The counter starts with mass 1 on ``start``, and ``counts()``, its one
     readout, returns the walks back at ``start`` after every even number
     of steps up to T = 2 * ``semilength``.  States are raw part tuples,
-    interned with ids in first-seen order, so a deterministic caller gets
-    deterministic ids; ``support()`` wraps them as ``Partition``s.  A
-    state's successor list is built once, from this module's
-    ``legal_moves``, with its heavier targets first: every move changes
-    the weight by one, so the weight cap and the ban on the empty table
-    are decided once per source state, never per edge.
+    interned with ids 0, 1, 2, ... in first-seen order, so a deterministic
+    caller gets deterministic ids; ``support()`` wraps them as
+    ``Partition``s.  A state's successor list is built once, from this
+    module's ``legal_moves``, with its heavier targets first: every move
+    changes the weight by one, so the weight cap and the ban on the empty
+    table are decided once per source state, never per edge.
+
+    One ``advance()`` first expands every live state that has no successor
+    list yet, in id order, so every target is interned.  It then pushes
+    the layer's counts into a list indexed by state id, and the positive
+    entries of that list, keyed by id, become the new ``layer``.
 
     States too heavy to get back to ``start`` in the remaining steps are
     discarded as they arise: after k steps the cap is ``start.weight +
@@ -118,13 +125,14 @@ class WalkCounter:
         self._states: list[Parts] = [start.parts]
         self._weights: list[int] = [start.weight]
         # _succ[sid] lists heavier targets, then lighter ones, each in
-        # legal_moves order; _split[sid] is the number of heavier ones
+        # legal_moves order; _split[sid] is the number of heavier ones,
+        # set when sid is expanded
         self._succ: dict[int, list[int]] = {}
-        self._split: dict[int, int] = {}
+        self._split: list[int] = [0]
         self.step_index = 0
         self.layer: dict[int, int] = {0: 1}
 
-    def _expand(self, sid: int) -> list[int]:
+    def _expand(self, sid: int) -> None:
         weight = self._weights[sid]
         heavier, lighter = legal_moves(self._states[sid], self.allow_complex)
         if weight >= self.max_weight:
@@ -138,10 +146,10 @@ class WalkCounter:
                 if tid == len(states):
                     states.append(parts)
                     weights.append(w)
+                    self._split.append(0)
                 targets.append(tid)
         self._check_size(len(states))
         self._succ[sid] = targets
-        return targets
 
     def _check_size(self, states: int) -> None:
         if states > self.max_states:
@@ -160,11 +168,13 @@ class WalkCounter:
         cap = self._weight_cap(k)
         empty_ok = self.start.is_empty
         succ, split, weights = self._succ, self._split, self._weights
-        nxt: dict[int, int] = {}
+        for sid in self.layer:
+            if sid not in succ:
+                self._expand(sid)
+        # every target is interned now, with ids 0..N-1 in the interner's order
+        nxt = [0] * len(self._states)
         for sid, ways in self.layer.items():
-            targets = succ.get(sid)
-            if targets is None:
-                targets = self._expand(sid)
+            targets = succ[sid]
             weight = weights[sid]
             # heavier targets weigh weight + 1, over the cap once weight
             # reaches it; a weight-1 source's lighter targets are the empty table
@@ -173,11 +183,9 @@ class WalkCounter:
             if lo or hi < len(targets):
                 targets = targets[lo:hi]
             for tid in targets:
-                if tid in nxt:
-                    nxt[tid] += ways
-                else:
-                    nxt[tid] = ways
-        self.layer = nxt
+                nxt[tid] += ways
+        # the interner's own id objects as keys, so a step allocates no ints
+        self.layer = dict(zip(compress(self._interner.values(), nxt), compress(nxt, nxt)))
         self.step_index = k
 
     def counts(self) -> list[int]:
@@ -201,8 +209,7 @@ class WalkCounter:
 
     def support(self) -> list[tuple[Partition, int]]:
         """Current layer as (state, count) pairs, in state-id order."""
-        layer = sorted(self.layer.items())
-        return [(Partition(self._states[sid]), ways) for sid, ways in layer]
+        return [(Partition(self._states[sid]), ways) for sid, ways in self.layer.items()]
 
 
 def _partitions_through(max_weight: int, limit: int) -> int:

@@ -232,6 +232,39 @@ class TestWalkCounter:
                 brute_returns(start, s, allow_complex, start.is_empty) for s in range(4)
             ]
 
+    @pytest.mark.parametrize(
+        "start, semilength, allow_complex",
+        [(SINGLE_PLATE, 8, True), (EMPTY, 9, True), (EMPTY, 8, False)]
+        + [(start, 3, True) for start in partitions_up_to_weight(3)],
+        ids=str,
+    )
+    def test_each_layer_matches_a_plain_push(self, start, semilength, allow_complex):
+        # a dict push over the grammar, with the weight cap and the
+        # empty-table rule, against every layer the kernel builds; only
+        # states with a positive count may be in a layer
+        counter = WalkCounter(start, semilength, allow_complex=allow_complex)
+        total = 2 * semilength
+        expected = {start.parts: 1}
+        for k in range(1, total + 1):
+            cap = start.weight + min(k, total - k)
+            pushed: dict = {}
+            for parts, ways in expected.items():
+                for _, nxt in legal_moves(Partition(parts), allow_complex):
+                    if nxt.weight <= cap and (start.is_empty or not nxt.is_empty):
+                        pushed[nxt.parts] = pushed.get(nxt.parts, 0) + ways
+            expected = pushed
+            counter.advance()
+            states = counter._states
+            assert {states[sid]: ways for sid, ways in counter.layer.items()} == expected
+            assert list(counter._interner.values()) == list(range(len(states)))
+            for sid, targets in counter._succ.items():
+                heavier = counter._split[sid]
+                weights = [sum(states[tid]) for tid in targets]
+                weight = sum(states[sid])
+                assert weights == [weight + 1] * heavier + [weight - 1] * (
+                    len(targets) - heavier
+                )
+
     def test_state_table_read_by_benchmark_tracer(self):
         # perfbench/tracing.py reads layer, _succ and _interner after each step
         counter = WalkCounter(start=SINGLE_PLATE, semilength=5)
