@@ -1,11 +1,12 @@
 """Growth-ratio statistics and bound comparisons for the game counts.
 
 The quantity of interest is r_n = (1/n) * M_n^(1/n), which is known to
-converge; the exact counts at desk scale only show it drifting slowly
-downward, so the table reports r_n next to the constants 2/e and 4/e
-that bracket the limit.  Neither constant is a pointwise bound at small
-n (already at n = 1 the count 2 exceeds (4/e) * 1^1), so the envelope
-columns are informational and nothing here asserts them row by row.
+converge; the exact counts at desk scale show it falling to a minimum
+at n = 45 (1.078525) and rising at every n from 46 to 50, so the table
+reports r_n next to the constants 2/e and 4/e that bracket the limit.
+Neither constant is a pointwise bound at small n (already at n = 1 the
+count 2 exceeds (4/e) * 1^1), so the envelope columns are informational
+and nothing here asserts them row by row.
 
 Both tables print the counts they are given, [M_0..M_max_n], and never
 count themselves.  All ratios are computed with the decimal module at

@@ -101,7 +101,12 @@ class WalkCounter:
         Young's lattice plus empty-plate bookkeeping.
     ``max_states``
         Turns runaway growth of the state table into a ResourceLimit
-        instead of memory exhaustion.
+        instead of memory exhaustion.  The counter checks its own table
+        size: from a start of weight <= 1 (<> or <1>) the walk interns
+        exactly the partitions of weight <= ``max_weight``, so the
+        constructor checks their number before any work; from a heavier
+        start that number is only an upper bound, so the table is checked
+        as states are interned.
     """
 
     def __init__(
@@ -121,6 +126,8 @@ class WalkCounter:
         self.max_states = max_states
         # the peak of _weight_cap(k), halfway through the walk
         self.max_weight = start.weight + semilength
+        if semilength and start.weight <= 1:
+            self._check_size(_partitions_through(self.max_weight, max_states))
         self._interner: dict[Parts, int] = {start.parts: 0}
         self._states: list[Parts] = [start.parts]
         self._weights: list[int] = [start.weight]
@@ -229,15 +236,6 @@ def _partitions_through(max_weight: int, limit: int) -> int:
     return total
 
 
-def _family_counts(counter: WalkCounter) -> list[int]:
-    """``counter.counts()``, failing before any work when the table would
-    pass ``max_states``: each family's walk interns exactly the partitions
-    of weight <= ``max_weight``, or just its start when it takes no step."""
-    if counter.total_steps:
-        counter._check_size(_partitions_through(counter.max_weight, counter.max_states))
-    return counter.counts()
-
-
 def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> list[int]:
     """Game counts for every n from 0 to ``max_n`` out of a single pass.
 
@@ -246,7 +244,7 @@ def count_games_through(max_n: int, max_states: int = DEFAULT_STATE_LIMIT) -> li
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return _family_counts(WalkCounter(SINGLE_PLATE, max_n, max_states=max_states))
+    return WalkCounter(SINGLE_PLATE, max_n, max_states=max_states).counts()
 
 
 def count_games(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -261,7 +259,7 @@ def count_closed_walks_through(
     empties allowed) for every n from 0 to ``max_n``."""
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
-    return _family_counts(WalkCounter(EMPTY, max_n + 1, max_states=max_states))[1:]
+    return WalkCounter(EMPTY, max_n + 1, max_states=max_states).counts()[1:]
 
 
 def count_closed_walks(n: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -281,7 +279,7 @@ def count_young_walks_through(
     out of one pass."""
     if max_semilength < 0:
         raise InvalidArgument("max_semilength must be nonnegative")
-    return _family_counts(WalkCounter(EMPTY, max_semilength, False, max_states))
+    return WalkCounter(EMPTY, max_semilength, False, max_states).counts()
 
 
 def count_young_walks(length: int, max_states: int = DEFAULT_STATE_LIMIT) -> int:

@@ -136,10 +136,7 @@ def tangent_numbers(n: int) -> int:
 
 
 def _is_cyclic_zigzag(perm: tuple[int, ...]) -> bool:
-    # canonical representative: the minimum sits first, then values
-    # alternate valley/peak around the whole cycle
-    if perm[0] != 1:
-        return False
+    # values alternate valley/peak around the whole cycle, a valley first
     m = len(perm)
     for idx in range(m):
         here = perm[idx]
@@ -155,15 +152,11 @@ def _is_cyclic_zigzag(perm: tuple[int, ...]) -> bool:
 
 def count_zigzag_permutations(size: int) -> int:
     """Cyclically alternating permutations of {1..size} with the 1 first,
-    counted by filtering all size! permutations.  For even size = 2n + 2
-    this equals tangent_numbers(n)."""
+    counted by filtering the (size - 1)! arrangements of 2..size after it.
+    For even size = 2n + 2 this equals tangent_numbers(n)."""
     if size < 2 or size % 2:
         raise ValueError("size must be even and at least 2")
-    hits = 0
-    for perm in permutations(range(1, size + 1)):
-        if _is_cyclic_zigzag(perm):
-            hits += 1
-    return hits
+    return sum(_is_cyclic_zigzag((1, *rest)) for rest in permutations(range(2, size + 1)))
 
 
 # Reference counts of geometric equivalence classes of excellent Morse

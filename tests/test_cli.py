@@ -353,6 +353,27 @@ class TestVerifyCommand:
         assert "PASS [claims] per-game-move-tallies" in out
         assert out.endswith("FAIL: 1 failed\n")
 
+    def test_olive_projection_that_ends_above_the_axis_fails(self, capsys, monkeypatch):
+        real = games.game_tallies
+        first_of_two = next(enumerate_games(2))
+
+        def tallies(n, ceiling):
+            for moves, tally in real(n, ceiling=ceiling):
+                if n == 2 and tuple(moves) == first_of_two.moves:
+                    # an olive path that never dips but ends at height 2
+                    tally = [*tally[:5], 2, 0]
+                yield moves, tally
+
+        monkeypatch.setattr(games, "game_tallies", tallies)
+        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
+        assert rc == 1
+        assert (
+            "FAIL [claims] olive-dyck-projection: path does not end at height 0 in "
+            f"{first_of_two.text}\n" in out
+        )
+        assert "PASS [claims] per-game-move-tallies" in out
+        assert out.endswith("FAIL: 1 failed\n")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])

@@ -143,6 +143,7 @@ class TestGameCounts:
         for n in range(21):
             for start, semilength, allow_complex in (
                 (SINGLE_PLATE, n, True),  # games
+                (SINGLE_PLATE, n, False),  # games without plate merges
                 (EMPTY, n + 1, True),  # closed walks
                 (EMPTY, n, False),  # Young walks
             ):
@@ -178,6 +179,27 @@ class TestGameCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_games(-1)
+
+    def test_direct_counter_fails_in_its_constructor(self, monkeypatch):
+        # a counter from <> or <1> checks its table size up front, so a
+        # huge walk built without a count_* function costs nothing either
+        def no_work(*args):
+            raise AssertionError("expanded a state past the budget")
+
+        monkeypatch.setattr(counting, "legal_moves", no_work)
+        with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
+            WalkCounter(SINGLE_PLATE, 10**9, max_states=10**6)
+        with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
+            WalkCounter(EMPTY, 10**9, allow_complex=False, max_states=10**6)
+
+    def test_heavier_start_checked_only_as_states_are_interned(self):
+        # from <5> a walk of semilength 1 interns 6 states, far fewer than
+        # the 30 partitions of weight <= 6, so an up-front check would refuse it
+        counter = WalkCounter(Partition((5,)), 1, max_states=10)
+        assert counter.counts() == [1, 3]
+        assert len(counter._interner) == 6
+        with pytest.raises(ResourceLimit, match="more than 5 distinct"):
+            WalkCounter(Partition((5,)), 1, max_states=5).counts()
 
 
 class TestWalkCounter:

@@ -39,8 +39,11 @@ from plates_olives.partitions import (
     partitions_of_weight,
 )
 from plates_olives.references import (
+    catalan,
     count_proper_dyck_paths,
     dyck_paths,
+    tangent_numbers,
+    updown_numbers,
     weighted_dyck_sum_by_enumeration,
 )
 
@@ -80,6 +83,7 @@ class TestValidateGame:
         assert game.n == 1
         assert [str(p) for p in game.trace] == ["<>", "<1>", "<1,1>", "<1>", "<>"]
         assert game.text == TWO_PLATES
+        assert str(game) == game.text
 
     def test_one_olive_game(self):
         game = parse_game(ONE_OLIVE)
@@ -282,6 +286,9 @@ class TestClosedWalks:
             (lambda: weighted_dyck_sum_by_enumeration(-1), ValueError),
             (lambda: count_proper_dyck_paths(-1), ValueError),
             (lambda: partitions_of_weight(-1), ValueError),
+            (lambda: catalan(-1), ValueError),
+            (lambda: updown_numbers(-1), ValueError),
+            (lambda: tangent_numbers(-1), ValueError),
         ],
         ids=[
             "enumerate_games(-1)",
@@ -294,6 +301,9 @@ class TestClosedWalks:
             "weighted_dyck_sum_by_enumeration(-1)",
             "count_proper_dyck_paths(-1)",
             "partitions_of_weight(-1)",
+            "catalan(-1)",
+            "updown_numbers(-1)",
+            "tangent_numbers(-1)",
         ],
     )
     def test_enumerators_raise_at_the_call(self, call, expected):
