@@ -37,7 +37,7 @@ def _exp_envelope(base_scale: int, n: int) -> Decimal:
 def nth_root_ratio(count: int, n: int) -> Decimal:
     """(1/n) * count^(1/n) as a Decimal, exact integer in, no floats."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidArgument("n must be at least 1")
     if count < 1:
         raise InvalidArgument("count must be positive")
     with localcontext() as ctx:

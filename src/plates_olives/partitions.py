@@ -21,7 +21,8 @@ Moves are identified by what they consume, not by which physical plate is
 touched, so two plates with the same olive count are interchangeable and
 each token names at most one legal transition.  ``Move.exchange`` states
 each move's effect once, as the parts it takes off the table and the parts
-it puts back; a move is legal exactly when the parts it takes are there.
+it puts back; a move is legal exactly when the parts it takes are there,
+the one rule that both ``legal_moves`` and ``apply_move`` apply.
 Adding moves (P+, O+f, O+l) raise the weight by one; the removing moves
 lower it by one.
 
@@ -34,10 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Iterator
 
-from .errors import IllegalMove
+from .errors import IllegalMove, InvalidArgument
 
 
 def w_cap(t: int) -> int:
@@ -48,7 +50,7 @@ def w_cap(t: int) -> int:
     per-state move capacities below are all controlled by this quantity.
     """
     if t < 0:
-        raise ValueError("weight must be nonnegative")
+        raise InvalidArgument("weight must be nonnegative")
     return (1 + isqrt(1 + 8 * t)) // 2
 
 
@@ -188,12 +190,14 @@ EMPTY = Partition()
 SINGLE_PLATE = Partition((1,))
 
 
-def _successor(
-    parts: tuple[int, ...], taken: tuple[int, ...], put: tuple[int, ...]
-) -> Partition:
-    """What is left of ``parts`` after taking ``taken`` and putting ``put``."""
+def _successor(parts: tuple[int, ...], move: Move) -> Partition | None:
+    """The grammar's one legality rule: ``parts`` after ``move``, or None
+    when a part that ``move.exchange`` takes is not on the table."""
+    taken, put = move.exchange
     rest = list(parts)
     for part in taken:
+        if part not in rest:
+            return None
         rest.remove(part)
     return Partition((*rest, *put))
 
@@ -203,36 +207,30 @@ def legal_moves(
 ) -> list[tuple[Move, Partition]]:
     """All legal (move, successor) pairs at ``state``, sorted by move token.
 
-    ``allow_complex=False`` drops the P-c moves; what remains are exactly
-    the single-box moves of Young's lattice plus the constraint that O+f,
-    P-s need an empty plate on the table.
+    Of P+, O+f, P-s and the O+l, O- and P-c moves on the olive counts that
+    plates carry, ``_successor`` keeps the legal ones.  ``allow_complex=False``
+    drops the P-c moves; what remains are exactly the single-box moves of
+    Young's lattice plus the constraint that O+f, P-s need an empty plate.
     """
     parts = state.parts
-    plates = Counter(parts)  # part -> plates with part - 1 olives
-    held = sorted(part - 1 for part in plates if part >= 2)
-    moves = [Move(MoveKind.PLATE_ADD)]
-    if 1 in plates:
-        moves += [Move(MoveKind.OLIVE_ADD_FIRST), Move(MoveKind.PLATE_REMOVE_SIMPLE)]
+    held = {part - 1 for part in parts if part >= 2}
+    kinds = MoveKind.PLATE_ADD, MoveKind.OLIVE_ADD_FIRST, MoveKind.PLATE_REMOVE_SIMPLE
+    moves = [Move(kind) for kind in kinds]
     for c in held:
         moves += [Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)]
     if allow_complex:
-        moves += [
-            Move(MoveKind.PLATE_REMOVE_COMPLEX, ci, cj)
-            for a, ci in enumerate(held)
-            for cj in held[a:]
-            if ci != cj or plates[ci + 1] >= 2
-        ]
+        pairs = combinations_with_replacement(held, 2)
+        moves += [Move(MoveKind.PLATE_REMOVE_COMPLEX, i, j) for i, j in pairs]
     moves.sort(key=Move.token)
-    return [(move, _successor(parts, *move.exchange)) for move in moves]
+    return [(m, nxt) for m in moves if (nxt := _successor(parts, m)) is not None]
 
 
 def apply_move(state: Partition, move: Move) -> Partition:
-    """Apply one move, raising IllegalMove unless every part it takes is on
-    the table."""
-    taken, put = move.exchange
-    if Counter(taken) - Counter(state.parts):
+    """``state`` after ``move`` by the rule ``legal_moves`` applies, or IllegalMove."""
+    nxt = _successor(state.parts, move)
+    if nxt is None:
         raise IllegalMove(f"{move} takes plates that {state} does not have")
-    return _successor(state.parts, taken, put)
+    return nxt
 
 
 def move_capacity_profile(state: Partition) -> dict[MoveKind, int]:
@@ -258,7 +256,7 @@ def move_capacity_profile(state: Partition) -> dict[MoveKind, int]:
 def partitions_of_weight(weight: int) -> Iterator[Partition]:
     """All partitions of ``weight`` in descending lexicographic part order."""
     if weight < 0:
-        raise ValueError("weight must be nonnegative")
+        raise InvalidArgument("weight must be nonnegative")
 
     def rec(remaining: int, cap: int, acc: list[int]) -> Iterator[Partition]:
         if remaining == 0:

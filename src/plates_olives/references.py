@@ -11,11 +11,13 @@ from itertools import permutations
 from math import comb
 from typing import Iterator
 
+from .errors import InvalidArgument
+
 
 def double_factorial(m: int) -> int:
     """Product m(m-2)(m-4)... down to 1 or 2, with (-1)!! = 0!! = 1."""
     if m < -1:
-        raise ValueError("double factorial needs m >= -1")
+        raise InvalidArgument("double factorial needs m >= -1")
     out = 1
     while m > 1:
         out *= m
@@ -25,7 +27,7 @@ def double_factorial(m: int) -> int:
 
 def catalan(n: int) -> int:
     if n < 0:
-        raise ValueError("catalan needs n >= 0")
+        raise InvalidArgument("catalan needs n >= 0")
     return comb(2 * n, n) // (n + 1)
 
 
@@ -41,7 +43,7 @@ def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
     the call, before the walk starts.
     """
     if semilength < 0:
-        raise ValueError("semilength must be nonnegative")
+        raise InvalidArgument("semilength must be nonnegative")
     total = 2 * semilength
 
     def walk() -> Iterator[tuple[int, ...]]:
@@ -79,7 +81,7 @@ def weighted_dyck_sum_by_enumeration(v: int) -> int:
     its weight is added at once: each path is one term.
     """
     if v < 0:
-        raise ValueError("semilength must be nonnegative")
+        raise InvalidArgument("semilength must be nonnegative")
     total = 2 * v
     out = 0
     stack = [(0, 0, 1)]
@@ -98,7 +100,7 @@ def weighted_dyck_sum_by_dp_through(max_v: int) -> list[int]:
     """The sums for v = 0 .. ``max_v`` out of one fold: the sum for v is the
     mass at height 0 after 2v steps, by when no path climbs above max_v."""
     if max_v < 0:
-        raise ValueError("semilength must be nonnegative")
+        raise InvalidArgument("semilength must be nonnegative")
     # row[h + 1] is the mass at height h; the zero ends stand for heights
     # -1 and max_v + 1, and an up-step from height h - 1 weighs h
     row = [0, 1] + [0] * (max_v + 1)
@@ -114,7 +116,7 @@ def updown_numbers(limit: int) -> list[int]:
     """Zig-zag (up-down) numbers E_0 .. E_limit by the boustrophedon
     transform of the sequence 1, 0, 0, ..."""
     if limit < 0:
-        raise ValueError("limit must be nonnegative")
+        raise InvalidArgument("limit must be nonnegative")
     out = [1]
     row = [1]
     for _ in range(limit):
@@ -131,7 +133,7 @@ def updown_numbers(limit: int) -> list[int]:
 def tangent_numbers(n: int) -> int:
     """The odd-indexed zig-zag number E_{2n+1}: 1, 2, 16, 272, 7936, ..."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidArgument("n must be nonnegative")
     return updown_numbers(2 * n + 1)[2 * n + 1]
 
 
@@ -155,7 +157,7 @@ def count_zigzag_permutations(size: int) -> int:
     counted by filtering the (size - 1)! arrangements of 2..size after it.
     For even size = 2n + 2 this equals tangent_numbers(n)."""
     if size < 2 or size % 2:
-        raise ValueError("size must be even and at least 2")
+        raise InvalidArgument("size must be even and at least 2")
     return sum(_is_cyclic_zigzag((1, *rest)) for rest in permutations(range(2, size + 1)))
 
 

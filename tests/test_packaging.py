@@ -6,6 +6,11 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
+from plates_olives import analysis, partitions, references
+from plates_olives.errors import InvalidArgument
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plates_olives"
 
 
@@ -40,3 +45,31 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.setdefault(source.name, []).append(name)
     assert outside == {}
+
+
+OUT_OF_RANGE = [
+    (analysis.nth_root_ratio, (2, 0), "n must be at least 1"),
+    (partitions.w_cap, (-1,), "weight must be nonnegative"),
+    (partitions.partitions_of_weight, (-1,), "weight must be nonnegative"),
+    (references.double_factorial, (-2,), "double factorial needs m >= -1"),
+    (references.catalan, (-1,), "catalan needs n >= 0"),
+    (references.dyck_paths, (-1,), "semilength must be nonnegative"),
+    (references.weighted_dyck_sum_by_enumeration, (-1,), "semilength must be nonnegative"),
+    (references.weighted_dyck_sum_by_dp_through, (-1,), "semilength must be nonnegative"),
+    (references.updown_numbers, (-1,), "limit must be nonnegative"),
+    (references.tangent_numbers, (-1,), "n must be nonnegative"),
+    (references.count_zigzag_permutations, (3,), "size must be even and at least 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    OUT_OF_RANGE,
+    ids=[function.__name__ for function, _, _ in OUT_OF_RANGE],
+)
+def test_out_of_range_arguments_raise_invalid_argument(function, args, message):
+    # the README: out-of-range arguments raise InvalidArgument, which the CLI
+    # reports as a user error and library callers may catch as a ValueError
+    with pytest.raises(InvalidArgument) as raised:
+        function(*args)
+    assert str(raised.value) == message

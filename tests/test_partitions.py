@@ -265,12 +265,15 @@ class TestApplyMove:
             moves = [Move.parse(token) for token in tokens]
             assert set(legal) <= set(moves), state
             for move in moves:
+                # the multiset rule, stated apart from the grammar's own
+                taken, _ = move.exchange
+                on_table = not Counter(taken) - Counter(state.parts)
                 try:
                     target = apply_move(state, move)
                 except IllegalMove:
-                    assert move not in legal, (state, move)
+                    assert not on_table and move not in legal, (state, move)
                 else:
-                    assert legal.get(move) == target, (state, move)
+                    assert on_table and legal.get(move) == target, (state, move)
 
 
 class TestCapacityProfile:
