@@ -160,40 +160,64 @@ def _nodes(
     return node
 
 
+# The walk's last TAIL moves come from a cache: every prefix that reaches
+# a node key at that depth reuses the one list of its tails.
+TAIL = 4
+
+
 def _closed_walks(
     length: int, node: Callable[[Hashable, int], list[list]], start: Hashable = EMPTY
-) -> Iterator[tuple[list[Move], list]]:
+) -> Iterator[tuple[tuple[Move, ...], tuple]]:
     """Depth-first, in move token order, over the closed walks of ``length``
-    moves from ``start``.  Each walk yields the walk's own (moves, keys)
-    lists, which change as it goes on, so callers copy them.
+    moves from ``start``.  Each walk yields its (moves, keys) tuples; keys
+    has one more entry than moves, ``start`` first.
 
     ``node(key, left)`` is the cached list of ``[move, next key, child]``
     entries out of ``key`` with ``left`` moves to go; for ``_nodes`` the
-    keys are the states.  ``child`` is None until the walk first goes
-    down through the entry, and the walk then fills it with ``node(next
-    key, left - 1)``, which entries from other parents share.  So a node
-    exists only once the walk reaches it, and the builder is asked once
-    per entry, not once per visit.  One loop runs over a stack of
-    iterators over the nodes of the current walk, with no recursion.
+    keys are the states.  One loop runs over a stack of iterators over the
+    nodes of the current prefix, with no recursion, down to ``length -
+    TAIL`` moves.  ``child`` is None until the loop first goes down
+    through the entry, and the loop then fills it with ``node(next key,
+    left - 1)``, which entries from other parents share.  At that depth
+    each walk is the prefix plus one entry of ``tails(key, TAIL)``: the
+    (moves, keys) tuples of every walk of ``TAIL`` moves from ``key`` to
+    the drain, built once per key from the same nodes, so the closing
+    moves are not walked again for every prefix.  A node exists only once
+    a walk reaches it, and the builder is asked once per entry, not once
+    per visit.
     """
+
+    @cache
+    def tails(key: Hashable, left: int) -> list[tuple[tuple, tuple]]:
+        if not left:
+            return [((), ())]
+        return [
+            ((move, *moves), (nxt, *keys))
+            for move, nxt, _ in node(key, left)
+            for moves, keys in tails(nxt, left - 1)
+        ]
+
+    top = length - TAIL
+    if top <= 0:
+        for moves, keys in tails(start, length):
+            yield moves, (start, *keys)
+        return
     moves: list[Move] = []
     keys = [start]
-    if not length:
-        yield moves, keys
-        return
     stack = [iter(node(start, length))]
     while stack:
         for entry in stack[-1]:
             move, nxt, child = entry
             moves.append(move)
             keys.append(nxt)
-            left = length - len(moves)
-            if left:
+            if len(moves) < top:
                 if child is None:
-                    child = entry[2] = node(nxt, left)
+                    child = entry[2] = node(nxt, length - len(moves))
                 stack.append(iter(child))
                 break
-            yield moves, keys
+            head_moves, head_keys = tuple(moves), tuple(keys)
+            for tail_moves, tail_keys in tails(nxt, TAIL):
+                yield head_moves + tail_moves, head_keys + tail_keys
             moves.pop()
             keys.pop()
         else:
@@ -223,7 +247,7 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     """
     _check_game_length(n, ceiling)
     walks = _closed_walks(2 * n + 2, _nodes(True, False))
-    return (Game(moves=tuple(moves)) for moves, _ in walks)
+    return (Game(moves) for moves, _ in walks)
 
 
 def skeleton(game: Game) -> tuple[str, ...]:
@@ -286,14 +310,13 @@ _TALLY_COLUMN = dict.fromkeys(_OLIVE_STEP) | {
 
 def game_tallies(
     n: int, ceiling: int = DEFAULT_ORACLE_CEILING
-) -> Iterator[tuple[list[Move], tuple[int, ...]]]:
+) -> Iterator[tuple[tuple[Move, ...], tuple[int, ...]]]:
     """Every game of length ``n``, in the order of ``enumerate_games``,
     with its tallies, and no ``Game`` built.
 
-    Each game yields (moves, tallies).  ``moves`` is the walk's own list,
-    which changes as it goes on, so callers copy it.  ``tallies`` is the
-    tuple ``(v_f, v_l, p_s, p_c, up, height, low)``: the ``game_stats``
-    row, then the up-steps, final height and lowest height of the olive
+    Each game yields (moves, tallies), two tuples.  ``tallies`` is
+    ``(v_f, v_l, p_s, p_c, up, height, low)``: the ``game_stats`` row,
+    then the up-steps, final height and lowest height of the olive
     projection.  So for every game, up is the semilength of
     ``olive_dyck_path`` and height and low are 0.  Each move's effect is
     read from the tables ``game_stats`` and ``olive_dyck_path`` use.
@@ -338,7 +361,7 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
         raise InvalidArgument("walk length must be even and nonnegative")
-    return (tuple(states) for _, states in _closed_walks(length, _nodes(False, True)))
+    return (states for _, states in _closed_walks(length, _nodes(False, True)))
 
 
 def _single_box_move(before: Partition, after: Partition) -> Move:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Iterator
@@ -202,6 +203,29 @@ def _successor(parts: tuple[int, ...], move: Move) -> Partition | None:
     return Partition((*rest, *put))
 
 
+# The candidate moves as (token, Move) pairs, built once each and keyed by
+# plain ints: a MoveKind key would hash through the Python-level
+# ``Enum.__hash__``.  Only moves are kept here, never a successor.
+_PLAIN_CANDIDATES = tuple(
+    (kind.value, Move(kind))
+    for kind in (MoveKind.PLATE_ADD, MoveKind.OLIVE_ADD_FIRST, MoveKind.PLATE_REMOVE_SIMPLE)
+)
+
+
+@cache
+def _count_candidates(c: int) -> tuple[tuple[str, Move], ...]:
+    """O+l:c and O-:c."""
+    moves = Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)
+    return tuple((move.token(), move) for move in moves)
+
+
+@cache
+def _pair_candidate(pair: tuple[int, int]) -> tuple[str, Move]:
+    """P-c:i,j for the pair (i, j), i <= j."""
+    move = Move(MoveKind.PLATE_REMOVE_COMPLEX, *pair)
+    return move.token(), move
+
+
 def legal_moves(
     state: Partition, allow_complex: bool = True
 ) -> list[tuple[Move, Partition]]:
@@ -213,16 +237,15 @@ def legal_moves(
     Young's lattice plus the constraint that O+f, P-s need an empty plate.
     """
     parts = state.parts
-    held = {part - 1 for part in parts if part >= 2}
-    kinds = MoveKind.PLATE_ADD, MoveKind.OLIVE_ADD_FIRST, MoveKind.PLATE_REMOVE_SIMPLE
-    moves = [Move(kind) for kind in kinds]
+    held = sorted({part - 1 for part in parts if part >= 2})
+    candidates = [*_PLAIN_CANDIDATES]
     for c in held:
-        moves += [Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)]
+        candidates += _count_candidates(c)
     if allow_complex:
-        pairs = combinations_with_replacement(held, 2)
-        moves += [Move(MoveKind.PLATE_REMOVE_COMPLEX, i, j) for i, j in pairs]
-    moves.sort(key=Move.token)
-    return [(m, nxt) for m in moves if (nxt := _successor(parts, m)) is not None]
+        candidates += map(_pair_candidate, combinations_with_replacement(held, 2))
+    # tokens are distinct, so the sort never compares two moves
+    candidates.sort()
+    return [(m, nxt) for _, m in candidates if (nxt := _successor(parts, m)) is not None]
 
 
 def apply_move(state: Partition, move: Move) -> Partition:

@@ -208,7 +208,7 @@ def _sweep_games(n: int, ceiling: int) -> SweepResult:
     for seen, (moves, (v_f, v_l, p_s, p_c, up, height, low)) in enumerate(walk, 1):
         v = v_f + v_l
         if bad_tally is None and (v + p_s + p_c != n or p_c > v_f):
-            bad_tally = f"stats violation in {games.Game(tuple(moves)).text}"
+            bad_tally = f"stats violation in {games.Game(moves).text}"
         if bad_dyck is None and (low < 0 or height or up != v):
             # the faults in the order the olive projection's DyckPath finds them
             if low < 0:
@@ -217,7 +217,7 @@ def _sweep_games(n: int, ceiling: int) -> SweepResult:
                 fault = "path does not end at height 0"
             else:
                 fault = "dyck semilength mismatch"
-            bad_dyck = f"{fault} in {games.Game(tuple(moves)).text}"
+            bad_dyck = f"{fault} in {games.Game(moves).text}"
     return seen, bad_tally, bad_dyck
 
 

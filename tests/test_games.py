@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import accumulate
 
 import pytest
@@ -75,6 +76,28 @@ def closed_walks(draw, max_out=30):
         step(lambda q: 0 < q.weight < here)
     step(lambda q: q.is_empty)
     return moves, states
+
+
+def reference_walks(length, allow_complex, interim_empty):
+    """Every closed walk of ``length`` moves from the empty table, as
+    (moves, states) tuples in token order: plain recursion over
+    ``legal_moves``, with no node or tail cache, and the grammar's list
+    looked up once per state.  ``interim_empty`` allows the empty table
+    before the last move."""
+    grammar = cache(legal_moves)
+
+    def walks(state, left):
+        if not left:
+            if state.is_empty:
+                yield (), (state,)
+            return
+        for move, nxt in grammar(state, allow_complex):
+            if nxt.weight >= left or (nxt.is_empty and left > 1 and not interim_empty):
+                continue  # too heavy to drain in time, or empty too early
+            for moves, states in walks(nxt, left - 1):
+                yield (move, *moves), (state, *states)
+
+    return walks(EMPTY, length)
 
 
 class TestValidateGame:
@@ -334,6 +357,24 @@ class TestClosedWalks:
         assert len(calls) == len(set(calls)) == len(left)
         assert set(calls) == {(state, allow_complex) for state in left}
 
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_games_and_tallies_match_an_uncached_walk(self, n):
+        # 2n + 2 moves through n = 6: walks shorter than, as long as and
+        # longer than games.TAIL, so both the stack and the tail cache run
+        reference = reference_walks(2 * n + 2, True, False)
+        walked = zip(reference, enumerate_games(n), game_tallies(n), strict=True)
+        for (moves, _), game, (tally_moves, tallies) in walked:
+            assert type(game.moves) is type(tally_moves) is tuple
+            assert game.moves == tally_moves == moves
+            assert tallies[:4] == game_stats(game)
+
+    @pytest.mark.parametrize("length", sorted({*range(0, 13, 2), 2 * games.TAIL}))
+    def test_young_walks_match_an_uncached_walk(self, length):
+        reference = reference_walks(length, False, True)
+        for (_, states), walk in zip(reference, young_closed_walks(length), strict=True):
+            assert type(walk) is tuple
+            assert walk == states
 
     @staticmethod
     def _count_grammar_calls(monkeypatch) -> list:
