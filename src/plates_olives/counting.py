@@ -19,8 +19,10 @@ closed walks in Young's lattice, counted by the double factorial
 the start: a walk from the empty table may revisit it, and a walk from
 any other state never touches it.
 
-The kernel's move rule, ``legal_moves``, acts on raw part tuples and
-shares no code with the grammar of ``partitions`` that the oracle walks.
+The kernel's move rule, ``legal_moves``, acts on packed integer codes:
+field a of a state's code counts its parts equal to a, so every move is
+one or two integer adds.  It shares no code with the grammar of
+``partitions`` that the oracle walks.
 
 Everything here returns plain Python integers, so results are exact at
 any size.
@@ -28,9 +30,8 @@ any size.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import compress
-from operator import neg
+from typing import Iterable
 
 from .errors import InvalidArgument, ResourceLimit
 from .partitions import EMPTY, SINGLE_PLATE, Partition
@@ -40,35 +41,58 @@ DEFAULT_STATE_LIMIT = 10_000_000
 Parts = tuple[int, ...]
 
 
-def legal_moves(parts: Parts, allow_complex: bool) -> tuple[list[Parts], list[Parts]]:
-    """The (heavier, lighter) successors of the nonincreasing ``parts``.
+def encode(parts: Iterable[int], width: int) -> int:
+    """The packed code of a multiset of ``parts``: field a, at bits
+    ``width * (a - 1)`` up to ``width * a - 1``, holds the number of parts
+    equal to a, so it must hold at most ``2**width - 1`` of them."""
+    return sum(1 << width * (a - 1) for a in parts)
 
-    A part 1 is added; the first copy of each distinct part grows by one
-    and its last copy shrinks by one, so the tuple stays sorted, and a
-    part 1 leaves the table; with ``allow_complex`` two parts a >= b >= 2
-    (two copies when a = b) fuse into a + b - 1.
+
+def decode(code: int, width: int) -> Parts:
+    """The nonincreasing part tuple that ``code`` packs."""
+    parts: list[int] = []
+    mask = (1 << width) - 1
+    a = 0
+    while code:
+        a += 1
+        parts += [a] * (code & mask)
+        code >>= width
+    return tuple(reversed(parts))
+
+
+def legal_moves(code: int, width: int, allow_complex: bool) -> tuple[list[int], list[int]]:
+    """The (heavier, lighter) successors of the packed ``code``.
+
+    With ``E[a] = 1 << width * (a - 1)`` every move is one or two adds: a
+    part 1 is added (+1); each distinct part a grows (+E[a + 1] - E[a]) or
+    shrinks (-E[a] + E[a - 1], and -1 takes a part 1 off the table); with
+    ``allow_complex`` two parts a >= b >= 2 (two copies when a = b) fuse
+    into a + b - 1 (-E[a] - E[b] + E[a + b - 1]).  The distinct parts are
+    found by jumping from one nonzero field to the next, lowest first.
+    The fields must be wide enough for the successors' counts.
     """
-    heavier, lighter = [parts + (1,)], []
-    runs = []  # (part >= 2, index of its first copy, index of its last copy)
-    first, size = 0, len(parts)
-    while first < size:
-        a = parts[first]
-        last = first
-        while last + 1 < size and parts[last + 1] == a:
-            last += 1
-        heavier.append(parts[:first] + (a + 1,) + parts[first + 1 :])
-        lighter.append(parts[:last] + (a - 1,) * (a > 1) + parts[last + 1 :])
-        if a > 1:
-            runs.append((a, first, last))
-        first = last + 1
+    heavier, lighter = [code + 1], []
+    runs = []  # (E[b], width * (b - 1), two copies or more) for parts b >= 2
+    rest = code  # the fields of parts not yet reached
+    while rest:
+        shift = (rest & -rest).bit_length() - 1
+        shift -= shift % width
+        e = 1 << shift
+        heavier.append(code + (e << width) - e)
+        lighter.append(code - e + (e >> width))
+        top = shift + width
+        cleared = rest >> top << top
+        if shift:
+            runs.append((e, shift, rest - cleared != e))
+        rest = cleared
     if allow_complex:
-        for x, (a, i, _) in enumerate(runs):
-            for b, _, j in runs[x:]:
-                if i < j:  # a = b needs two copies
-                    # a + b - 1 > a lands among the parts left of the first a
-                    k = bisect_left(parts, 1 - a - b, 0, i, key=neg)
-                    fused = parts[:k] + (a + b - 1,) + parts[k:i]
-                    lighter.append(fused + parts[i + 1 : j] + parts[j + 1 :])
+        # E[a + b - 1] is E[a] << width * (b - 1)
+        for i, (eb, shift, twice) in enumerate(runs):
+            base = code - eb
+            if twice:
+                lighter.append(base - eb + (eb << shift))
+            for ea, _, _ in runs[i + 1 :]:
+                lighter.append(base - ea + (ea << shift))
     return heavier, lighter
 
 
@@ -77,10 +101,12 @@ class WalkCounter:
 
     The counter starts with mass 1 on ``start``, and ``counts()``, its one
     readout, returns the walks back at ``start`` after every even number
-    of steps up to T = 2 * ``semilength``.  States are raw part tuples,
-    interned with ids 0, 1, 2, ... in first-seen order, so a deterministic
-    caller gets deterministic ids; ``support()`` wraps them as
-    ``Partition``s.  A state's successor list is built once, from this
+    of steps up to T = 2 * ``semilength``.  Each state is one int, its
+    ``encode``d parts in fields of ``width`` = ``max_weight.bit_length()``
+    bits, wide enough for the most parts any interned state has.  States
+    are interned with ids 0, 1, 2, ... in first-seen order, so a
+    deterministic caller gets deterministic ids; ``support()`` decodes them
+    to ``Partition``s.  A state's successor list is built once, from this
     module's ``legal_moves``, with its heavier targets first: every move
     changes the weight by one, so the weight cap and the ban on the empty
     table are decided once per source state, never per edge.
@@ -128,8 +154,11 @@ class WalkCounter:
         self.max_weight = start.weight + semilength
         if semilength and start.weight <= 1:
             self._check_size(_partitions_through(self.max_weight, max_states))
-        self._interner: dict[Parts, int] = {start.parts: 0}
-        self._states: list[Parts] = [start.parts]
+        # every interned state weighs at most max_weight, so no field holds more
+        self.width = self.max_weight.bit_length()
+        code = encode(start.parts, self.width)
+        self._interner: dict[int, int] = {code: 0}
+        self._states: list[int] = [code]
         self._weights: list[int] = [start.weight]
         # _succ[sid] lists heavier targets, then lighter ones, each in
         # legal_moves order; _split[sid] is the number of heavier ones,
@@ -141,17 +170,17 @@ class WalkCounter:
 
     def _expand(self, sid: int) -> None:
         weight = self._weights[sid]
-        heavier, lighter = legal_moves(self._states[sid], self.allow_complex)
+        heavier, lighter = legal_moves(self._states[sid], self.width, self.allow_complex)
         if weight >= self.max_weight:
-            heavier = []  # only the heavier side can pass max_weight
+            heavier = []  # only heavier targets pass max_weight, or overflow a field
         self._split[sid] = len(heavier)
         interner, states, weights = self._interner, self._states, self._weights
         targets = []
         for w, group in ((weight + 1, heavier), (weight - 1, lighter)):
-            for parts in group:
-                tid = interner.setdefault(parts, len(states))
+            for code in group:
+                tid = interner.setdefault(code, len(states))
                 if tid == len(states):
-                    states.append(parts)
+                    states.append(code)
                     weights.append(w)
                     self._split.append(0)
                 targets.append(tid)
@@ -216,7 +245,8 @@ class WalkCounter:
 
     def support(self) -> list[tuple[Partition, int]]:
         """Current layer as (state, count) pairs, in state-id order."""
-        return [(Partition(self._states[sid]), ways) for sid, ways in self.layer.items()]
+        states, width = self._states, self.width
+        return [(Partition(decode(states[sid], width)), ways) for sid, ways in self.layer.items()]
 
 
 def _partitions_through(max_weight: int, limit: int) -> int:

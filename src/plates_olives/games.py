@@ -167,10 +167,12 @@ TAIL = 4
 
 def _closed_walks(
     length: int, node: Callable[[Hashable, int], list[list]], start: Hashable = EMPTY
-) -> Iterator[tuple[tuple[Move, ...], tuple]]:
+) -> Iterator[tuple[tuple[Move, ...], tuple, tuple]]:
     """Depth-first, in move token order, over the closed walks of ``length``
-    moves from ``start``.  Each walk yields its (moves, keys) tuples; keys
-    has one more entry than moves, ``start`` first.
+    moves from ``start``.  Each walk yields (moves, head keys, tail keys),
+    three tuples; the walk's keys, ``start`` first and one more than its
+    moves, are head keys + tail keys, left unjoined for callers that read
+    only the last key or none.
 
     ``node(key, left)`` is the cached list of ``[move, next key, child]``
     entries out of ``key`` with ``left`` moves to go; for ``_nodes`` the
@@ -199,8 +201,9 @@ def _closed_walks(
 
     top = length - TAIL
     if top <= 0:
+        head_keys = (start,)
         for moves, keys in tails(start, length):
-            yield moves, (start, *keys)
+            yield moves, head_keys, keys
         return
     moves: list[Move] = []
     keys = [start]
@@ -217,7 +220,7 @@ def _closed_walks(
                 break
             head_moves, head_keys = tuple(moves), tuple(keys)
             for tail_moves, tail_keys in tails(nxt, TAIL):
-                yield head_moves + tail_moves, head_keys + tail_keys
+                yield head_moves + tail_moves, head_keys, tail_keys
             moves.pop()
             keys.pop()
         else:
@@ -247,7 +250,7 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     """
     _check_game_length(n, ceiling)
     walks = _closed_walks(2 * n + 2, _nodes(True, False))
-    return (Game(moves) for moves, _ in walks)
+    return (Game(moves) for moves, _, _ in walks)
 
 
 def skeleton(game: Game) -> tuple[str, ...]:
@@ -351,8 +354,9 @@ def game_tallies(
 
     # p_s starts at -1: the closing P-s is forced, as in game_stats
     start = (EMPTY, (0, 0, -1, 0, 0, 0, 0))
+    # a game has at least two moves, so its last key is a tail key
     return (
-        (moves, keys[-1][1]) for moves, keys in _closed_walks(2 * n + 2, node, start)
+        (moves, tail[-1][1]) for moves, _, tail in _closed_walks(2 * n + 2, node, start)
     )
 
 
@@ -361,7 +365,8 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
         raise InvalidArgument("walk length must be even and nonnegative")
-    return (states for _, states in _closed_walks(length, _nodes(False, True)))
+    walks = _closed_walks(length, _nodes(False, True))
+    return (head + tail for _, head, tail in walks)
 
 
 def _single_box_move(before: Partition, after: Partition) -> Move:

@@ -192,6 +192,12 @@ class TestGameCounts:
         with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
             WalkCounter(EMPTY, 10**9, allow_complex=False, max_states=10**6)
 
+    def test_heavier_start_fails_at_once_for_a_huge_walk(self):
+        # max_weight is 10**9 + 2, so nothing sized by it may be built
+        # before the table passes max_states
+        with pytest.raises(ResourceLimit, match="more than 10 distinct"):
+            WalkCounter(Partition((2,)), 10**9, max_states=10).counts()
+
     def test_heavier_start_checked_only_as_states_are_interned(self):
         # from <5> a walk of semilength 1 interns 6 states, far fewer than
         # the 30 partitions of weight <= 6, so an up-front check would refuse it
@@ -257,13 +263,19 @@ class TestWalkCounter:
     @pytest.mark.parametrize(
         "start, semilength, allow_complex",
         [(SINGLE_PLATE, 8, True), (EMPTY, 9, True), (EMPTY, 8, False)]
+        # max_weight 7 = 2**3 - 1 fills a 3-bit field with the all-ones
+        # partition, and max_weight 8 = 2**3 needs the first 4-bit field
+        + [(SINGLE_PLATE, 6, merges) for merges in (True, False)]
+        + [(SINGLE_PLATE, 7, merges) for merges in (True, False)]
+        + [(EMPTY, 7, merges) for merges in (True, False)]
+        + [(EMPTY, 8, True)]
         + [(start, 3, True) for start in partitions_up_to_weight(3)],
         ids=str,
     )
     def test_each_layer_matches_a_plain_push(self, start, semilength, allow_complex):
         # a dict push over the grammar, with the weight cap and the
-        # empty-table rule, against every layer the kernel builds; only
-        # states with a positive count may be in a layer
+        # empty-table rule, against every layer the kernel builds, its
+        # codes decoded; only states with a positive count may be in a layer
         counter = WalkCounter(start, semilength, allow_complex=allow_complex)
         total = 2 * semilength
         expected = {start.parts: 1}
@@ -276,7 +288,7 @@ class TestWalkCounter:
                         pushed[nxt.parts] = pushed.get(nxt.parts, 0) + ways
             expected = pushed
             counter.advance()
-            states = counter._states
+            states = [counting.decode(code, counter.width) for code in counter._states]
             assert {states[sid]: ways for sid, ways in counter.layer.items()} == expected
             assert list(counter._interner.values()) == list(range(len(states)))
             for sid, targets in counter._succ.items():
@@ -300,7 +312,8 @@ class TestWalkCounter:
                     nxt for _, nxt in legal_moves(state) if nxt.weight <= counter.max_weight
                 )
             assert len(counter._interner) == len(seen)
-            assert set(counter._interner) == {state.parts for state in seen}
+            interned = {counting.decode(code, counter.width) for code in counter._interner}
+            assert interned == {state.parts for state in seen}
             assert all(isinstance(counter._succ[sid], list) for sid in before)
             assert all(
                 isinstance(sid, int) and isinstance(ways, int) and ways > 0
@@ -343,16 +356,35 @@ class TestWalkCounter:
 
 class TestKernelMoveRule:
     def test_matches_grammar_exhaustively(self):
-        # the kernel's rule on part tuples against the move grammar, edge
-        # for edge, for every partition of weight <= 20
+        # the kernel's rule on packed codes against the move grammar, edge
+        # for edge, for every partition of weight <= 20; 5-bit fields hold
+        # the successors' counts, up to 21
+        width = 21 .bit_length()
         for state in partitions_up_to_weight(20):
+            code = counting.encode(state.parts, width)
             for allow_complex in (True, False):
-                heavier, lighter = counting.legal_moves(state.parts, allow_complex)
+                heavier, lighter = counting.legal_moves(code, width, allow_complex)
+                heavier = [counting.decode(q, width) for q in heavier]
+                lighter = [counting.decode(q, width) for q in lighter]
                 grammar = legal_moves(state, allow_complex)
                 assert Counter(heavier + lighter) == Counter(q.parts for _, q in grammar)
                 assert len(set(heavier + lighter)) == len(heavier + lighter)
                 assert all(sum(parts) == state.weight + 1 for parts in heavier)
                 assert all(sum(parts) == state.weight - 1 for parts in lighter)
+
+    def test_codes_round_trip(self):
+        # every partition of weight <= 20, in the narrowest fields that
+        # hold its weight (so <1,1,1> fills a 2-bit field) and in 5-bit ones
+        states = list(partitions_up_to_weight(20))
+        for width in (None, 5):
+            codes = set()
+            for state in states:
+                bits = width or state.weight.bit_length()
+                code = counting.encode(state.parts, bits)
+                assert counting.decode(code, bits) == state.parts
+                codes.add(code)
+            if width:
+                assert len(codes) == len(states)
 
     def test_counts_do_not_use_the_grammar(self, monkeypatch):
         def broken(*args, **kwargs):

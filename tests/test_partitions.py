@@ -182,8 +182,12 @@ class TestSuccessorsUnvalidated:
             assert all(type(p) is int and p >= 1 for p in nxt.parts)
             assert all(a >= b for a, b in zip(nxt.parts, nxt.parts[1:]))
             assert apply_move(state, move) == nxt
-        heavier, lighter = counting.legal_moves(state.parts, allow_complex)
-        assert Counter(heavier + lighter) == Counter(nxt.parts for _, nxt in pairs)
+        # the kernel's fields, wide enough for the heavier successors' counts
+        width = (state.weight + 1).bit_length()
+        code = counting.encode(state.parts, width)
+        heavier, lighter = counting.legal_moves(code, width, allow_complex)
+        kernel = [counting.decode(q, width) for q in heavier + lighter]
+        assert Counter(kernel) == Counter(nxt.parts for _, nxt in pairs)
         tally = Counter(m.kind for m, _ in pairs)
         profile = move_capacity_profile(state)
         if not allow_complex:
