@@ -1,9 +1,13 @@
 """Growth-ratio statistics and bound comparisons for the game counts.
 
-The quantity of interest is r_n = (1/n) * M_n^(1/n), which is known to
-converge; the exact counts at desk scale show it falling to a minimum
+The quantity of interest is r_n = (1/n) * M_n^(1/n).  What the paper
+proves is a bracket, (2n - 1)!! <= M_n <= (4/e)^(n+o(n)) * n^n, so r_n
+ends up between 2/e and 4/e: its liminf is at least 2/e and its limsup
+at most 4/e.  That r_n converges is not proven (Fekete's lemma would give
+it if M_n/n! were supermultiplicative, which is only checked on computed
+counts).  The exact counts at desk scale show r_n falling to a minimum
 at n = 45 (1.078525) and rising at every n from 46 to 50, so the table
-reports r_n next to the constants 2/e and 4/e that bracket the limit.
+reports r_n next to the constants 2/e and 4/e that bracket it.
 Neither constant is a pointwise bound at small n (already at n = 1 the
 count 2 exceeds (4/e) * 1^1), so the envelope columns are informational
 and nothing here asserts them row by row.

@@ -108,8 +108,8 @@ class WalkCounter:
     deterministic caller gets deterministic ids; ``support()`` decodes them
     to ``Partition``s.  A state's successor list is built once, from this
     module's ``legal_moves``, with its heavier targets first: every move
-    changes the weight by one, so the weight cap and the ban on the empty
-    table are decided once per source state, never per edge.
+    changes the weight by one, so the weight cap is decided once per
+    source state, never per edge.
 
     One ``advance()`` first expands every live state that has no successor
     list yet, in id order, so every target is interned.  It then pushes
@@ -120,19 +120,19 @@ class WalkCounter:
     discarded as they arise: after k steps the cap is ``start.weight +
     min(k, T - k)``, so ``max_weight`` is ``start.weight + semilength``,
     and no count changes.  The empty table is allowed exactly when it is
-    the start: a walk from any other state never touches it.  Options:
+    the start: a walk from any other state clears the empty table's slot
+    after every push.  Options:
 
     ``allow_complex``
         When False the P-c moves are dropped and the graph becomes
         Young's lattice plus empty-plate bookkeeping.
     ``max_states``
         Turns runaway growth of the state table into a ResourceLimit
-        instead of memory exhaustion.  The counter checks its own table
-        size: from a start of weight <= 1 (<> or <1>) the walk interns
-        exactly the partitions of weight <= ``max_weight``, so the
-        constructor checks their number before any work; from a heavier
-        start that number is only an upper bound, so the table is checked
-        as states are interned.
+        before any work, instead of memory exhaustion.  Every interned
+        state is a partition of weight <= ``max_weight``, so the
+        constructor checks their number, which a walk from <> or <1>
+        interns exactly; from a heavier start it is only an upper bound,
+        so such a walk is refused even when it would intern fewer states.
     """
 
     def __init__(
@@ -149,11 +149,12 @@ class WalkCounter:
         self.start = start
         self.total_steps = 2 * semilength
         self.allow_complex = allow_complex
-        self.max_states = max_states
         # the peak of _weight_cap(k), halfway through the walk
         self.max_weight = start.weight + semilength
-        if semilength and start.weight <= 1:
-            self._check_size(_partitions_through(self.max_weight, max_states))
+        if semilength and _partitions_through(self.max_weight, max_states) > max_states:
+            raise ResourceLimit(
+                f"more than {max_states} distinct states; raise max_states to continue"
+            )
         # every interned state weighs at most max_weight, so no field holds more
         self.width = self.max_weight.bit_length()
         code = encode(start.parts, self.width)
@@ -184,15 +185,7 @@ class WalkCounter:
                     weights.append(w)
                     self._split.append(0)
                 targets.append(tid)
-        self._check_size(len(states))
         self._succ[sid] = targets
-
-    def _check_size(self, states: int) -> None:
-        if states > self.max_states:
-            raise ResourceLimit(
-                f"more than {self.max_states} distinct states; "
-                "raise max_states to continue"
-            )
 
     def _weight_cap(self, k: int) -> int:
         return self.start.weight + min(k, self.total_steps - k)
@@ -202,7 +195,6 @@ class WalkCounter:
             raise ValueError("walk already advanced to its full length")
         k = self.step_index + 1
         cap = self._weight_cap(k)
-        empty_ok = self.start.is_empty
         succ, split, weights = self._succ, self._split, self._weights
         for sid in self.layer:
             if sid not in succ:
@@ -211,15 +203,16 @@ class WalkCounter:
         nxt = [0] * len(self._states)
         for sid, ways in self.layer.items():
             targets = succ[sid]
-            weight = weights[sid]
-            # heavier targets weigh weight + 1, over the cap once weight
-            # reaches it; a weight-1 source's lighter targets are the empty table
-            lo = split[sid] if weight >= cap else 0
-            hi = split[sid] if weight == 1 and not empty_ok else len(targets)
-            if lo or hi < len(targets):
-                targets = targets[lo:hi]
+            # heavier targets weigh weight + 1, over the cap once weight reaches it
+            if weights[sid] >= cap:
+                targets = targets[split[sid] :]
             for tid in targets:
                 nxt[tid] += ways
+        # the empty table's code is 0, and its id is 0 only when it is the
+        # start; a walk from any other start never touches it, so the slot
+        # that <1> pushed into is cleared
+        if empty := self._interner.get(0):
+            nxt[empty] = 0
         # the interner's own id objects as keys, so a step allocates no ints
         self.layer = dict(zip(compress(self._interner.values(), nxt), compress(nxt, nxt)))
         self.step_index = k

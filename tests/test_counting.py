@@ -181,8 +181,8 @@ class TestGameCounts:
             count_games(-1)
 
     def test_direct_counter_fails_in_its_constructor(self, monkeypatch):
-        # a counter from <> or <1> checks its table size up front, so a
-        # huge walk built without a count_* function costs nothing either
+        # every counter checks its table size up front, so a huge walk
+        # built without a count_* function costs nothing either
         def no_work(*args):
             raise AssertionError("expanded a state past the budget")
 
@@ -191,6 +191,8 @@ class TestGameCounts:
             WalkCounter(SINGLE_PLATE, 10**9, max_states=10**6)
         with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
             WalkCounter(EMPTY, 10**9, allow_complex=False, max_states=10**6)
+        with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
+            WalkCounter(Partition((2,)), 10**9, max_states=10**6)
 
     def test_heavier_start_fails_at_once_for_a_huge_walk(self):
         # max_weight is 10**9 + 2, so nothing sized by it may be built
@@ -198,14 +200,20 @@ class TestGameCounts:
         with pytest.raises(ResourceLimit, match="more than 10 distinct"):
             WalkCounter(Partition((2,)), 10**9, max_states=10).counts()
 
-    def test_heavier_start_checked_only_as_states_are_interned(self):
-        # from <5> a walk of semilength 1 interns 6 states, far fewer than
-        # the 30 partitions of weight <= 6, so an up-front check would refuse it
-        counter = WalkCounter(Partition((5,)), 1, max_states=10)
+    def test_heavier_start_checked_against_the_partition_bound(self, monkeypatch):
+        # from <5> a walk of semilength 1 interns 6 states, but the budget
+        # is checked against the 30 partitions of weight <= 6, its bound
+        # for any start, so 29 is refused before any state is expanded
+        counter = WalkCounter(Partition((5,)), 1, max_states=30)
         assert counter.counts() == [1, 3]
         assert len(counter._interner) == 6
-        with pytest.raises(ResourceLimit, match="more than 5 distinct"):
-            WalkCounter(Partition((5,)), 1, max_states=5).counts()
+
+        def no_work(*args):
+            raise AssertionError("expanded a state past the budget")
+
+        monkeypatch.setattr(counting, "legal_moves", no_work)
+        with pytest.raises(ResourceLimit, match="more than 29 distinct"):
+            WalkCounter(Partition((5,)), 1, max_states=29)
 
 
 class TestWalkCounter:
