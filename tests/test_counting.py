@@ -192,7 +192,7 @@ class TestGameCounts:
         with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
             WalkCounter(EMPTY, 10**9, allow_complex=False, max_states=10**6)
         with pytest.raises(ResourceLimit, match="more than 1000000 distinct"):
-            WalkCounter(Partition((2,)), 10**9, max_states=10**6)
+            WalkCounter(Partition((3, 1)), 10**9, max_states=10**6)
 
     def test_heavier_start_fails_at_once_for_a_huge_walk(self):
         # max_weight is 10**9 + 2, so nothing sized by it may be built
