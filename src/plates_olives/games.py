@@ -135,13 +135,12 @@ def parse_game(text: str) -> Game:
     return validate_game(Move.parse(tok) for tok in text.split())
 
 
-def _nodes(
-    allow_complex: bool, interim_empty: bool
-) -> Callable[[Partition, int], list[list]]:
+def _nodes(young: bool) -> Callable[[Partition, int], list[list]]:
     """The node builder of a plain walk: ``node(state, left)`` is the
     cached list of ``[move, successor, child]`` entries for the successors
-    of ``state`` that can still drain to the empty table in ``left`` moves,
-    and the empty table itself midway only with ``interim_empty``.
+    of ``state`` that can still drain to the empty table in ``left`` moves.
+    Games may merge plates and empty the table only at the end; ``young``
+    walks keep to single-box moves and may empty it midway.
 
     Nodes are built on ``legal_moves``, looked up when the builder is made
     and called once per distinct state.
@@ -153,8 +152,8 @@ def _nodes(
         # weight w takes w more moves to drain, and this move counts
         return [
             [move, nxt, None]
-            for move, nxt in grammar(state, allow_complex)
-            if (w := nxt.weight) < left and (w or interim_empty or left == 1)
+            for move, nxt in grammar(state, not young)
+            if (w := nxt.weight) < left and (w or young or left == 1)
         ]
 
     return node
@@ -249,7 +248,7 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     Bad arguments raise at the call, before the walk starts.
     """
     _check_game_length(n, ceiling)
-    walks = _closed_walks(2 * n + 2, _nodes(True, False))
+    walks = _closed_walks(2 * n + 2, _nodes(False))
     return (Game(moves) for moves, _, _ in walks)
 
 
@@ -331,7 +330,7 @@ def game_tallies(
     raise at the call, before the walk starts.
     """
     _check_game_length(n, ceiling)
-    plain = _nodes(True, False)
+    plain = _nodes(False)
     column, olive_step = _TALLY_COLUMN, _OLIVE_STEP
 
     @cache
@@ -365,7 +364,7 @@ def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     partition, as state tuples, in lexicographic move order."""
     if length < 0 or length % 2:
         raise InvalidArgument("walk length must be even and nonnegative")
-    walks = _closed_walks(length, _nodes(False, True))
+    walks = _closed_walks(length, _nodes(True))
     return (head + tail for _, head, tail in walks)
 
 

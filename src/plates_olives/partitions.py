@@ -46,9 +46,10 @@ from .errors import IllegalMove, InvalidArgument
 def w_cap(t: int) -> int:
     """Largest t' >= 1 with t'(t'-1)/2 <= t.
 
-    A configuration of weight t has at most w_cap(t) distinct part sizes,
-    since k distinct sizes already weigh at least 1 + 2 + ... + k.  The
-    per-state move capacities below are all controlled by this quantity.
+    A configuration carrying t olives has at most w_cap(t) distinct olive
+    counts, 0 included, since k distinct counts already hold at least
+    0 + 1 + ... + (k - 1) olives.  The per-state move capacities below are
+    all controlled by this quantity.
     """
     if t < 0:
         raise InvalidArgument("weight must be nonnegative")
@@ -203,27 +204,24 @@ def _successor(parts: tuple[int, ...], move: Move) -> Partition | None:
     return Partition((*rest, *put))
 
 
-# The candidate moves as (token, Move) pairs, built once each and keyed by
-# plain ints: a MoveKind key would hash through the Python-level
-# ``Enum.__hash__``.  Only moves are kept here, never a successor.
-_PLAIN_CANDIDATES = tuple(
-    (kind.value, Move(kind))
-    for kind in (MoveKind.PLATE_ADD, MoveKind.OLIVE_ADD_FIRST, MoveKind.PLATE_REMOVE_SIMPLE)
-)
-
-
 @cache
-def _count_candidates(c: int) -> tuple[tuple[str, Move], ...]:
-    """O+l:c and O-:c."""
-    moves = Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)
-    return tuple((move.token(), move) for move in moves)
+def _candidates(held: tuple[int, ...], allow_complex: bool) -> tuple[Move, ...]:
+    """The candidate moves at a table whose plates carry the distinct olive
+    counts ``held`` (sorted, each >= 1), sorted by token: P+, O+f, P-s, and
+    O+l and O- on each count and, with ``allow_complex``, P-c on each pair.
 
-
-@cache
-def _pair_candidate(pair: tuple[int, int]) -> tuple[str, Move]:
-    """P-c:i,j for the pair (i, j), i <= j."""
-    move = Move(MoveKind.PLATE_REMOVE_COMPLEX, *pair)
-    return move.token(), move
+    The table is keyed by plain ints and a bool, which hash in C, and holds
+    moves only, never a successor: states that share their olive counts
+    share one entry, and ``_successor`` tells them apart.
+    """
+    plain = MoveKind.PLATE_ADD, MoveKind.OLIVE_ADD_FIRST, MoveKind.PLATE_REMOVE_SIMPLE
+    moves = [*map(Move, plain)]
+    for c in held:
+        moves += Move(MoveKind.OLIVE_ADD_LATER, c), Move(MoveKind.OLIVE_REMOVE, c)
+    if allow_complex:
+        pairs = combinations_with_replacement(held, 2)
+        moves += (Move(MoveKind.PLATE_REMOVE_COMPLEX, i, j) for i, j in pairs)
+    return tuple(sorted(moves, key=Move.token))
 
 
 def legal_moves(
@@ -231,21 +229,19 @@ def legal_moves(
 ) -> list[tuple[Move, Partition]]:
     """All legal (move, successor) pairs at ``state``, sorted by move token.
 
-    Of P+, O+f, P-s and the O+l, O- and P-c moves on the olive counts that
-    plates carry, ``_successor`` keeps the legal ones.  ``allow_complex=False``
-    drops the P-c moves; what remains are exactly the single-box moves of
-    Young's lattice plus the constraint that O+f, P-s need an empty plate.
+    The candidates are the ``_candidates`` entry for the olive counts that
+    plates carry, and ``_successor`` keeps the legal ones.
+    ``allow_complex=False`` drops the P-c moves; what remains are exactly
+    the single-box moves of Young's lattice plus the constraint that O+f,
+    P-s need an empty plate.
     """
     parts = state.parts
-    held = sorted({part - 1 for part in parts if part >= 2})
-    candidates = [*_PLAIN_CANDIDATES]
-    for c in held:
-        candidates += _count_candidates(c)
-    if allow_complex:
-        candidates += map(_pair_candidate, combinations_with_replacement(held, 2))
-    # tokens are distinct, so the sort never compares two moves
-    candidates.sort()
-    return [(m, nxt) for _, m in candidates if (nxt := _successor(parts, m)) is not None]
+    held = tuple(sorted({part - 1 for part in parts if part >= 2}))
+    return [
+        (m, nxt)
+        for m in _candidates(held, allow_complex)
+        if (nxt := _successor(parts, m)) is not None
+    ]
 
 
 def apply_move(state: Partition, move: Move) -> Partition:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from math import isqrt
 
@@ -22,6 +23,7 @@ from plates_olives.partitions import (
     move_capacity_profile,
     partitions_of_weight,
     partitions_up_to_weight,
+    _candidates,
     w_cap,
 )
 
@@ -153,6 +155,39 @@ class TestLegalMoves:
         for state in partitions_up_to_weight(8):
             tokens = [m.token() for m, _ in legal_moves(state)]
             assert tokens == sorted(tokens)
+
+    def test_full_output_pinned(self):
+        # one line per (flag, state), weight <= 20: the digest pins every
+        # move, its order and its successor
+        digest = hashlib.sha256()
+        for allow_complex in (True, False):
+            for state in partitions_up_to_weight(MAX_PROPERTY_WEIGHT):
+                pairs = legal_moves(state, allow_complex)
+                line = f"{state}:" + " ".join(f"{m.token()}>{q}" for m, q in pairs)
+                digest.update(f"{line}\n".encode())
+        assert digest.hexdigest() == (
+            "5d63ce270905d7609cd180beffddd284e8eb21d69d23b4c7281ab962fdb3cae1"
+        )
+
+    @pytest.mark.parametrize("young_first", [True, False])
+    def test_states_sharing_olive_counts_get_their_own_moves(self, young_first):
+        # all four carry the olive count 1 only, so they share the table's
+        # two entries; P-c:1,1 needs two such plates, O+f and P-s an empty one
+        single_box = {
+            "<2>": "P+><2,1> O+l:1><3> O-:1><1>",
+            "<2,1>": "O+f><2,2> O+l:1><3,1> O-:1><1,1> P+><2,1,1> P-s><2>",
+            "<2,2>": "O+l:1><3,2> O-:1><2,1> P+><2,2,1>",
+            "<2,2,1>": "O+f><2,2,2> O+l:1><3,2,1> O-:1><2,1,1> P+><2,2,1,1> P-s><2,2>",
+        }
+        merges = {"<2>": "", "<2,1>": "", "<2,2>": " P-c:1,1><3>", "<2,2,1>": " P-c:1,1><3,1>"}
+        _candidates.cache_clear()
+        for allow_complex in (False, True) if young_first else (True, False):
+            for text, moves in single_box.items():
+                pairs = legal_moves(Partition.parse(text), allow_complex)
+                got = " ".join(f"{m}>{q}" for m, q in pairs)
+                want = moves + merges[text] if allow_complex else moves
+                assert sorted(got.split()) == sorted(want.split()), text
+        assert _candidates.cache_info().currsize == 2
 
 
 @st.composite
