@@ -184,9 +184,8 @@ class TestLegalMoves:
         for allow_complex in (False, True) if young_first else (True, False):
             for text, moves in single_box.items():
                 pairs = legal_moves(Partition.parse(text), allow_complex)
-                got = " ".join(f"{m}>{q}" for m, q in pairs)
                 want = moves + merges[text] if allow_complex else moves
-                assert sorted(got.split()) == sorted(want.split()), text
+                assert sorted(f"{m}>{q}" for m, q in pairs) == sorted(want.split()), text
         assert _candidates.cache_info().currsize == 2
 
 
