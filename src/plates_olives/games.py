@@ -137,10 +137,11 @@ def parse_game(text: str) -> Game:
 
 def _nodes(young: bool) -> Callable[[Partition, int], list[list]]:
     """The node builder of a plain walk: ``node(state, left)`` is the
-    cached list of ``[move, successor, child]`` entries for the successors
+    cached list of ``[label, successor, child]`` entries for the successors
     of ``state`` that can still drain to the empty table in ``left`` moves.
-    Games may merge plates and empty the table only at the end; ``young``
-    walks keep to single-box moves and may empty it midway.
+    Games may merge plates and empty the table only at the end, and label
+    a step with its move; ``young`` walks keep to single-box moves, may
+    empty it midway, and label a step with the state it reaches.
 
     Nodes are built on ``legal_moves``, looked up when the builder is made
     and called once per distinct state.
@@ -151,7 +152,7 @@ def _nodes(young: bool) -> Callable[[Partition, int], list[list]]:
     def node(state: Partition, left: int) -> list[list]:
         # weight w takes w more moves to drain, and this move counts
         return [
-            [move, nxt, None]
+            [nxt if young else move, nxt, None]
             for move, nxt in grammar(state, not young)
             if (w := nxt.weight) < left and (w or young or left == 1)
         ]
@@ -166,68 +167,60 @@ TAIL = 4
 
 def _closed_walks(
     length: int, node: Callable[[Hashable, int], list[list]], start: Hashable = EMPTY
-) -> Iterator[tuple[tuple[Move, ...], tuple, tuple]]:
-    """Depth-first, in move token order, over the closed walks of ``length``
-    moves from ``start``.  Each walk yields (moves, head keys, tail keys),
-    three tuples; the walk's keys, ``start`` first and one more than its
-    moves, are head keys + tail keys, left unjoined for callers that read
-    only the last key or none.
+) -> Iterator[tuple[tuple, Hashable]]:
+    """Depth-first, in the order of each node's entries, over the closed
+    walks of ``length`` steps from ``start``.  Each walk yields (labels,
+    end key): the tuple of its steps' labels and the key where it ends.
 
-    ``node(key, left)`` is the cached list of ``[move, next key, child]``
-    entries out of ``key`` with ``left`` moves to go; for ``_nodes`` the
+    ``node(key, left)`` is the cached list of ``[label, next key, child]``
+    entries out of ``key`` with ``left`` steps to go; for ``_nodes`` the
     keys are the states.  One loop runs over a stack of iterators over the
     nodes of the current prefix, with no recursion, down to ``length -
-    TAIL`` moves.  ``child`` is None until the loop first goes down
+    TAIL`` steps.  ``child`` is None until the loop first goes down
     through the entry, and the loop then fills it with ``node(next key,
     left - 1)``, which entries from other parents share.  At that depth
     each walk is the prefix plus one entry of ``tails(key, TAIL)``: the
-    (moves, keys) tuples of every walk of ``TAIL`` moves from ``key`` to
-    the drain, built once per key from the same nodes, so the closing
-    moves are not walked again for every prefix.  A node exists only once
+    (labels, end key) pairs of every walk of ``TAIL`` steps from ``key``
+    to the drain, built once per key from the same nodes, so the closing
+    steps are not walked again for every prefix.  A node exists only once
     a walk reaches it, and the builder is asked once per entry, not once
     per visit.
     """
 
     @cache
-    def tails(key: Hashable, left: int) -> list[tuple[tuple, tuple]]:
+    def tails(key: Hashable, left: int) -> list[tuple[tuple, Hashable]]:
         if not left:
-            return [((), ())]
+            return [((), key)]
         return [
-            ((move, *moves), (nxt, *keys))
-            for move, nxt, _ in node(key, left)
-            for moves, keys in tails(nxt, left - 1)
+            ((label, *labels), end)
+            for label, nxt, _ in node(key, left)
+            for labels, end in tails(nxt, left - 1)
         ]
 
     top = length - TAIL
     if top <= 0:
-        head_keys = (start,)
-        for moves, keys in tails(start, length):
-            yield moves, head_keys, keys
+        yield from tails(start, length)
         return
-    moves: list[Move] = []
-    keys = [start]
+    labels: list = []
     stack = [iter(node(start, length))]
     while stack:
         for entry in stack[-1]:
-            move, nxt, child = entry
-            moves.append(move)
-            keys.append(nxt)
-            if len(moves) < top:
+            label, nxt, child = entry
+            labels.append(label)
+            if len(labels) < top:
                 if child is None:
-                    child = entry[2] = node(nxt, length - len(moves))
+                    child = entry[2] = node(nxt, length - len(labels))
                 stack.append(iter(child))
                 break
-            head_moves, head_keys = tuple(moves), tuple(keys)
-            for tail_moves, tail_keys in tails(nxt, TAIL):
-                yield head_moves + tail_moves, head_keys, tail_keys
-            moves.pop()
-            keys.pop()
+            head = tuple(labels)
+            for tail, end in tails(nxt, TAIL):
+                yield head + tail, end
+            labels.pop()
         else:
-            # every entry of the node at keys[-1] is done: step back
+            # every entry of the node the prefix reached is done: step back
             stack.pop()
-            if moves:
-                moves.pop()
-                keys.pop()
+            if labels:
+                labels.pop()
 
 
 def _check_game_length(n: int, ceiling: int) -> None:
@@ -249,7 +242,7 @@ def enumerate_games(n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> Iterator[G
     """
     _check_game_length(n, ceiling)
     walks = _closed_walks(2 * n + 2, _nodes(False))
-    return (Game(moves) for moves, _, _ in walks)
+    return (Game(labels) for labels, _ in walks)
 
 
 def skeleton(game: Game) -> tuple[str, ...]:
@@ -325,9 +318,10 @@ def game_tallies(
 
     The walk is ``_closed_walks`` over nodes keyed by (state, tallies so
     far), each built from the plain node of its state, so a move's
-    effect is folded once per node entry, not once per visit, and games
-    that end at the same node share one tallies tuple.  Bad arguments
-    raise at the call, before the walk starts.
+    effect is folded once per node entry, not once per visit.  A game's
+    tallies are read off the walk's end key, so games that end at the
+    same node share one tallies tuple.  Bad arguments raise at the call,
+    before the walk starts.
     """
     _check_game_length(n, ceiling)
     plain = _nodes(False)
@@ -353,19 +347,18 @@ def game_tallies(
 
     # p_s starts at -1: the closing P-s is forced, as in game_stats
     start = (EMPTY, (0, 0, -1, 0, 0, 0, 0))
-    # a game has at least two moves, so its last key is a tail key
-    return (
-        (moves, tail[-1][1]) for moves, _, tail in _closed_walks(2 * n + 2, node, start)
-    )
+    return ((moves, end[1]) for moves, end in _closed_walks(2 * n + 2, node, start))
 
 
 def young_closed_walks(length: int) -> Iterator[tuple[Partition, ...]]:
     """Every closed single-box walk of even ``length`` from the empty
-    partition, as state tuples, in lexicographic move order."""
+    partition, as state tuples, in lexicographic move order.  The walk
+    labels each step with the state it reaches, so a walk's states are
+    the empty partition and its labels."""
     if length < 0 or length % 2:
         raise InvalidArgument("walk length must be even and nonnegative")
     walks = _closed_walks(length, _nodes(True))
-    return (head + tail for _, head, tail in walks)
+    return ((EMPTY,) + states for states, _ in walks)
 
 
 def _single_box_move(before: Partition, after: Partition) -> Move:

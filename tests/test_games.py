@@ -376,6 +376,18 @@ class TestClosedWalks:
             assert type(walk) is tuple
             assert walk == states
 
+    @pytest.mark.parametrize("m", range(games.TAIL + 3))
+    def test_walk_yields_labels_and_end_key(self, m):
+        # a toy builder over int heights, labelled by step: the closed
+        # walks of 2m steps from 0 are the Dyck paths of semilength m.
+        # Walks of at most TAIL steps come from the short-walk branch,
+        # longer ones from the stack and the tail cache
+        def node(h, left):
+            return [[s, h + s, None] for s in (1, -1) if 0 <= h + s <= left - 1]
+
+        walked = list(games._closed_walks(2 * m, node, 0))
+        assert walked == [(path, 0) for path in dyck_paths(m)]
+
     @staticmethod
     def _count_grammar_calls(monkeypatch) -> list:
         calls = []
