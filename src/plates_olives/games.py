@@ -135,25 +135,27 @@ def parse_game(text: str) -> Game:
     return validate_game(Move.parse(tok) for tok in text.split())
 
 
-def _nodes(young: bool) -> Callable[[Partition, int], list[list]]:
-    """The node builder of a plain walk: ``node(state, left)`` is the
-    cached list of ``[label, successor, child]`` entries for the successors
-    of ``state`` that can still drain to the empty table in ``left`` moves.
+def _nodes(young: bool) -> Callable[[tuple[int, ...], int], list[tuple]]:
+    """The node builder of a plain walk: ``node(parts, left)`` is the
+    cached list of ``(label, next parts)`` entries, one per successor that
+    can still drain to the empty table in ``left`` moves.  Keys are part
+    tuples, which hash in C, since the walk hashes one at every step.
     Games may merge plates and empty the table only at the end, and label
     a step with its move; ``young`` walks keep to single-box moves, may
-    empty it midway, and label a step with the state it reaches.
-
-    Nodes are built on ``legal_moves``, looked up when the builder is made
-    and called once per distinct state.
+    empty it midway, and label a step with the state it reaches.  Nodes
+    are built on ``legal_moves``, called once per distinct state.
     """
-    grammar = cache(legal_moves)
 
     @cache
-    def node(state: Partition, left: int) -> list[list]:
+    def grammar(parts: tuple[int, ...]) -> list[tuple[Move, Partition]]:
+        return legal_moves(Partition(parts), not young)
+
+    @cache
+    def node(parts: tuple[int, ...], left: int) -> list[tuple]:
         # weight w takes w more moves to drain, and this move counts
         return [
-            [nxt if young else move, nxt, None]
-            for move, nxt in grammar(state, not young)
+            (nxt if young else move, nxt.parts)
+            for move, nxt in grammar(parts)
             if (w := nxt.weight) < left and (w or young or left == 1)
         ]
 
@@ -166,25 +168,24 @@ TAIL = 4
 
 
 def _closed_walks(
-    length: int, node: Callable[[Hashable, int], list[list]], start: Hashable = EMPTY
+    length: int,
+    node: Callable[[Hashable, int], list[tuple]],
+    start: Hashable = EMPTY.parts,
 ) -> Iterator[tuple[tuple, Hashable]]:
     """Depth-first, in the order of each node's entries, over the closed
     walks of ``length`` steps from ``start``.  Each walk yields (labels,
     end key): the tuple of its steps' labels and the key where it ends.
 
-    ``node(key, left)`` is the cached list of ``[label, next key, child]``
+    ``node(key, left)`` is the cached list of ``(label, next key)``
     entries out of ``key`` with ``left`` steps to go; for ``_nodes`` the
-    keys are the states.  One loop runs over a stack of iterators over the
-    nodes of the current prefix, with no recursion, down to ``length -
-    TAIL`` steps.  ``child`` is None until the loop first goes down
-    through the entry, and the loop then fills it with ``node(next key,
-    left - 1)``, which entries from other parents share.  At that depth
-    each walk is the prefix plus one entry of ``tails(key, TAIL)``: the
-    (labels, end key) pairs of every walk of ``TAIL`` steps from ``key``
-    to the drain, built once per key from the same nodes, so the closing
-    steps are not walked again for every prefix.  A node exists only once
-    a walk reaches it, and the builder is asked once per entry, not once
-    per visit.
+    keys are part tuples, since the walk asks the cache at every step.
+    One loop runs over a stack of iterators over the nodes of the current
+    prefix, with no recursion, down to ``length - TAIL`` steps.  At that
+    depth each walk is the prefix plus one entry of ``tails(key, TAIL)``:
+    the (labels, end key) pairs of every walk of ``TAIL`` steps from
+    ``key`` to the drain, built once per key from the same nodes, so the
+    closing steps are not walked again for every prefix.  A node exists
+    only once a walk reaches it.
     """
 
     @cache
@@ -193,7 +194,7 @@ def _closed_walks(
             return [((), key)]
         return [
             ((label, *labels), end)
-            for label, nxt, _ in node(key, left)
+            for label, nxt in node(key, left)
             for labels, end in tails(nxt, left - 1)
         ]
 
@@ -204,13 +205,10 @@ def _closed_walks(
     labels: list = []
     stack = [iter(node(start, length))]
     while stack:
-        for entry in stack[-1]:
-            label, nxt, child = entry
+        for label, nxt in stack[-1]:
             labels.append(label)
             if len(labels) < top:
-                if child is None:
-                    child = entry[2] = node(nxt, length - len(labels))
-                stack.append(iter(child))
+                stack.append(iter(node(nxt, length - len(labels))))
                 break
             head = tuple(labels)
             for tail, end in tails(nxt, TAIL):
@@ -316,22 +314,23 @@ def game_tallies(
     ``olive_dyck_path`` and height and low are 0.  Each move's effect is
     read from the tables ``game_stats`` and ``olive_dyck_path`` use.
 
-    The walk is ``_closed_walks`` over nodes keyed by (state, tallies so
-    far), each built from the plain node of its state, so a move's
-    effect is folded once per node entry, not once per visit.  A game's
-    tallies are read off the walk's end key, so games that end at the
-    same node share one tallies tuple.  Bad arguments raise at the call,
-    before the walk starts.
+    The walk is ``_closed_walks`` over nodes keyed by (parts, tallies so
+    far), two tuples, since the walk hashes a key at every step.  Each
+    node's (move, next key) entries are built from the plain node of its
+    parts, so a move's effect is folded once per entry, not once per
+    visit.  A game's tallies are read off its end key, which games ending
+    at the same node share.  Bad arguments raise at the call, before the
+    walk starts.
     """
     _check_game_length(n, ceiling)
     plain = _nodes(False)
     column, olive_step = _TALLY_COLUMN, _OLIVE_STEP
 
     @cache
-    def node(key: tuple[Partition, tuple[int, ...]], left: int) -> list[list]:
-        state, before = key
+    def node(key: tuple[tuple[int, ...], tuple[int, ...]], left: int) -> list[tuple]:
+        parts, before = key
         entries = []
-        for move, nxt, _ in plain(state, left):
+        for move, nxt in plain(parts, left):
             kind = move.kind._value_
             after = list(before)
             if (col := column[kind]) is not None:
@@ -342,11 +341,11 @@ def game_tallies(
                     after[4] += 1
                 elif height < after[6]:
                     after[6] = height
-            entries.append([move, (nxt, tuple(after)), None])
+            entries.append((move, (nxt, tuple(after))))
         return entries
 
     # p_s starts at -1: the closing P-s is forced, as in game_stats
-    start = (EMPTY, (0, 0, -1, 0, 0, 0, 0))
+    start = ((), (0, 0, -1, 0, 0, 0, 0))
     return ((moves, end[1]) for moves, end in _closed_walks(2 * n + 2, node, start))
 
 

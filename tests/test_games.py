@@ -295,6 +295,16 @@ class TestDyckPath:
                 assert list(path.heights()) == sampled
 
 
+def _int_tuple(key) -> bool:
+    """A plain node key: a state's parts."""
+    return type(key) is tuple and {*map(type, key)} <= {int}
+
+
+def _tally_key(key) -> bool:
+    """A tally node key: the parts and the tallies so far."""
+    return type(key) is tuple and len(key) == 2 and all(map(_int_tuple, key))
+
+
 class TestClosedWalks:
     @pytest.mark.parametrize(
         "call, expected",
@@ -383,10 +393,46 @@ class TestClosedWalks:
         # Walks of at most TAIL steps come from the short-walk branch,
         # longer ones from the stack and the tail cache
         def node(h, left):
-            return [[s, h + s, None] for s in (1, -1) if 0 <= h + s <= left - 1]
+            return [(s, h + s) for s in (1, -1) if 0 <= h + s <= left - 1]
 
         walked = list(games._closed_walks(2 * m, node, 0))
         assert walked == [(path, 0) for path in dyck_paths(m)]
+
+    def test_plain_builder_keys_nodes_by_parts(self):
+        # an entry is (label, next key), and a key is a state's parts
+        game, young = games._nodes(False), games._nodes(True)
+        assert game((), 2) == [(Move(MoveKind.PLATE_ADD), (1,))]
+        assert game((1,), 1) == [(Move(MoveKind.PLATE_REMOVE_SIMPLE), ())]
+        # a game may not empty the table before its last move; a Young walk may
+        assert game((1,), 2) == []
+        assert young((1,), 2) == [(EMPTY, ())]
+
+    @pytest.mark.parametrize(
+        "walks, is_key",
+        [
+            (lambda: enumerate_games(4), _int_tuple),
+            (lambda: game_tallies(4), _tally_key),
+            (lambda: young_closed_walks(8), _int_tuple),
+        ],
+        ids=["games", "game-tallies", "young-walks"],
+    )
+    def test_walk_asks_for_tuple_keys(self, monkeypatch, walks, is_key):
+        # the walk hashes a node key at every step; a Partition hashes and
+        # compares in Python, a tuple of ints in C
+        keys = []
+        walk = games._closed_walks
+
+        def spied(length, node, *start):
+            def asked(key, left):
+                keys.append(key)
+                return node(key, left)
+
+            return walk(length, asked, *start)
+
+        monkeypatch.setattr(games, "_closed_walks", spied)
+        assert list(walks())
+        assert keys
+        assert [key for key in keys if not is_key(key)] == []
 
     @staticmethod
     def _count_grammar_calls(monkeypatch) -> list:
