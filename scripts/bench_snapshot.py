@@ -8,7 +8,10 @@ The harness runs unchanged, as a subprocess, once per workload of
 ``BENCHMARK.json`` with ``--trace 0`` (for its ``run_seconds`` each), then
 once with ``--workload count-first-return --trace 1``.  Each run's JSON
 report, the second-to-last line of its stdout, is kept whole, every
-sample behind each median included.  Tier-1 then runs with
+sample behind each median included.  One ``count --max-n 40`` then runs
+in a fresh interpreter through ``perfbench/child.py``, unchanged, for its
+wall time, its peak RSS, that RSS per interned state, and the SHA-256 of
+its stdout checked against the digest CI pins.  Tier-1 then runs with
 ``--durations=10``.  A run takes about four minutes.
 
 ``<sha>`` is the first 12 hex digits of the reports' ``source_sha256``,
@@ -21,6 +24,7 @@ standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -31,7 +35,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS = ROOT / "perfbench" / "run.py"
+CHILD = ROOT / "perfbench" / "child.py"
 TRACED_WORKLOAD = "count-first-return"
+# CI's "Count through n = 40" step pins this stdout; the walk interns the
+# partitions of weight <= 41
+COUNT_40 = ["count", "--max-n", "40"]
+COUNT_40_SHA256 = "ac1699ab83ac5ea735d21860b2e77b6caeb5fe4d8f518a1731ae75ddc4ecffdb"
+COUNT_40_STATES = 259_891
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
 # pytest's --durations lines: "18.72s call     tests/test_cli.py::TestEnumerate::test_x"
 DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(\S.*)$")
@@ -47,6 +57,26 @@ def _harness(*argv: str) -> dict:
     # the harness has checked that the package resolved under this checkout
     report["module"] = os.path.relpath(report["module"], ROOT)
     return report
+
+
+def _count_40() -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-E", "-s", str(CHILD), str(ROOT), "run", *COUNT_40],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        sys.exit(f"perfbench/child.py exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    digest = hashlib.sha256(result["stdout"].encode()).hexdigest()
+    return {
+        "command": COUNT_40,
+        "rc": result["rc"],
+        "wall_s": result["wall"],
+        "peak_rss_mb": result["rss_kb"] / 1024,
+        "bytes_per_state": result["rss_kb"] * 1024 / COUNT_40_STATES,
+        "stdout_sha256": digest,
+        "stdout_matches_ci": digest == COUNT_40_SHA256,
+    }
 
 
 def _git(*argv: str) -> str | None:
@@ -89,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
         untraced[name] = _harness("--workload", name, "--trace", "0")
     print(f"traced {TRACED_WORKLOAD} ...", file=sys.stderr)
     traced = _harness("--workload", TRACED_WORKLOAD, "--trace", "1")
+    print(f"{' '.join(COUNT_40)} ...", file=sys.stderr)
+    count_40 = _count_40()
     print("tier-1 ...", file=sys.stderr)
     tier1 = _tier1()
     source = traced["source_sha256"]
@@ -101,12 +133,15 @@ def main(argv: list[str] | None = None) -> int:
         "src_differs_from_commit": None if status is None else status != "",
         "untraced": untraced,
         "traced": traced,
+        "count_40": count_40,
         "tier1": tier1,
     }
     out = ROOT / f"BENCH_{source[:12]}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(out)
-    return 0 if tier1["returncode"] == 0 else 1
+    if not count_40["stdout_matches_ci"]:
+        print(f"count --max-n 40 stdout hashes to {count_40['stdout_sha256']}", file=sys.stderr)
+    return 0 if tier1["returncode"] == 0 and count_40["stdout_matches_ci"] else 1
 
 
 if __name__ == "__main__":

@@ -62,6 +62,17 @@ MUTANTS = (
         "tests/test_counting.py::TestWalkCounter",
         ((COUNTING, "width = self.max_weight.bit", "width = (self.max_weight - 1).bit"),),
     ),
+    # the counts are unchanged: only a caller holding the old layer sees this
+    Mutant(
+        "layer-cleared-in-place",
+        "tests/test_counting.py::TestWalkCounter",
+        ((COUNTING, "self.layer = {}", "self.layer.clear()"),),
+    ),
+    Mutant(
+        "kernel-skips-heavier-below-cap",
+        "tests/test_counting.py::TestWalkCounter",
+        ((COUNTING, "weight < self.max_weight", "weight < self.max_weight - 1"),),
+    ),
     Mutant(
         "grammar-always-allows-merges",
         "tests/test_partitions.py::TestLegalMoves",

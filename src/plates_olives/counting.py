@@ -60,7 +60,9 @@ def decode(code: int, width: int) -> Parts:
     return tuple(reversed(parts))
 
 
-def legal_moves(code: int, width: int, allow_complex: bool) -> tuple[list[int], list[int]]:
+def legal_moves(
+    code: int, width: int, allow_complex: bool, with_heavier: bool = True
+) -> tuple[list[int], list[int]]:
     """The (heavier, lighter) successors of the packed ``code``.
 
     With ``E[a] = 1 << width * (a - 1)`` every move is one or two adds: a
@@ -69,16 +71,20 @@ def legal_moves(code: int, width: int, allow_complex: bool) -> tuple[list[int], 
     ``allow_complex`` two parts a >= b >= 2 (two copies when a = b) fuse
     into a + b - 1 (-E[a] - E[b] + E[a + b - 1]).  The distinct parts are
     found by jumping from one nonzero field to the next, lowest first.
-    The fields must be wide enough for the successors' counts.
+    The fields must be wide enough for the successors' counts.  Without
+    ``with_heavier`` the heavier list is empty, and the lighter one is
+    built as it would be otherwise.
     """
-    heavier, lighter = [code + 1], []
+    heavier = [code + 1] if with_heavier else []
+    lighter = []
     runs = []  # (E[b], width * (b - 1), two copies or more) for parts b >= 2
     rest = code  # the fields of parts not yet reached
     while rest:
         shift = (rest & -rest).bit_length() - 1
         shift -= shift % width
         e = 1 << shift
-        heavier.append(code + (e << width) - e)
+        if with_heavier:
+            heavier.append(code + (e << width) - e)
         lighter.append(code - e + (e >> width))
         top = shift + width
         cleared = rest >> top << top
@@ -106,15 +112,19 @@ class WalkCounter:
     bits, wide enough for the most parts any interned state has.  States
     are interned with ids 0, 1, 2, ... in first-seen order, so a
     deterministic caller gets deterministic ids; ``support()`` decodes them
-    to ``Partition``s.  A state's successor list is built once, from this
-    module's ``legal_moves``, with its heavier targets first: every move
-    changes the weight by one, so the weight cap is decided once per
-    source state, never per edge.
+    to ``Partition``s.  A state's successors are built once, from this
+    module's ``legal_moves``, and kept as one tuple of ids, its heavier
+    targets first: every move changes the weight by one, so the weight cap
+    is decided once per source state, never per edge, and a state at
+    ``max_weight`` gets no heavier target built at all.
 
     One ``advance()`` first expands every live state that has no successor
-    list yet, in id order, so every target is interned.  It then pushes
-    the layer's counts into a list indexed by state id, and the positive
-    entries of that list, keyed by id, become the new ``layer``.
+    tuple yet, in id order, so every target is interned.  It then pushes
+    the layer's counts into a list indexed by state id, and rebinds
+    ``layer`` to an empty dict, so the old layer and its counts are freed
+    before the new one is built; a caller still holding the old dict
+    keeps it whole.  The positive entries of the list, keyed by id, become
+    the new ``layer``.
 
     States too heavy to get back to ``start`` in the remaining steps are
     discarded as they arise: after k steps the cap is ``start.weight +
@@ -161,19 +171,20 @@ class WalkCounter:
         self._interner: dict[int, int] = {code: 0}
         self._states: list[int] = [code]
         self._weights: list[int] = [start.weight]
-        # _succ[sid] lists heavier targets, then lighter ones, each in
-        # legal_moves order; _split[sid] is the number of heavier ones,
+        # _succ[sid] is a tuple of heavier targets, then lighter ones, each
+        # in legal_moves order; _split[sid] is the number of heavier ones,
         # set when sid is expanded
-        self._succ: dict[int, list[int]] = {}
+        self._succ: dict[int, tuple[int, ...]] = {}
         self._split: list[int] = [0]
         self.step_index = 0
         self.layer: dict[int, int] = {0: 1}
 
     def _expand(self, sid: int) -> None:
         weight = self._weights[sid]
-        heavier, lighter = legal_moves(self._states[sid], self.width, self.allow_complex)
-        if weight >= self.max_weight:
-            heavier = []  # only heavier targets pass max_weight, or overflow a field
+        # only heavier targets pass max_weight, or overflow a field
+        heavier, lighter = legal_moves(
+            self._states[sid], self.width, self.allow_complex, weight < self.max_weight
+        )
         self._split[sid] = len(heavier)
         interner, states, weights = self._interner, self._states, self._weights
         targets = []
@@ -185,7 +196,7 @@ class WalkCounter:
                     weights.append(w)
                     self._split.append(0)
                 targets.append(tid)
-        self._succ[sid] = targets
+        self._succ[sid] = tuple(targets)
 
     def _weight_cap(self, k: int) -> int:
         return self.start.weight + min(k, self.total_steps - k)
@@ -208,6 +219,9 @@ class WalkCounter:
                 targets = targets[split[sid] :]
             for tid in targets:
                 nxt[tid] += ways
+        # rebound, not cleared: the old layer and its counts go before the
+        # new one is built, and a caller holding the old dict keeps it whole
+        self.layer = {}
         # the empty table's code is 0, and its id is 0 only when it is the
         # start; a walk from any other start never touches it, so the slot
         # that <1> pushed into is cleared

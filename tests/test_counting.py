@@ -322,7 +322,7 @@ class TestWalkCounter:
             assert len(counter._interner) == len(seen)
             interned = {counting.decode(code, counter.width) for code in counter._interner}
             assert interned == {state.parts for state in seen}
-            assert all(isinstance(counter._succ[sid], list) for sid in before)
+            assert all(isinstance(counter._succ[sid], tuple) for sid in before)
             assert all(
                 isinstance(sid, int) and isinstance(ways, int) and ways > 0
                 for sid, ways in counter.layer.items()
@@ -345,7 +345,9 @@ class TestWalkCounter:
         counters = set()
 
         def traced(counter):
-            before = list(counter.layer)
+            # held by reference, as the tracer holds it: advance must rebind
+            # the layer, not clear it in place
+            before = counter.layer
             advance(counter)
             counters.add(counter)
             seen["traversed"] += sum(len(counter._succ[sid]) for sid in before)
@@ -366,12 +368,14 @@ class TestKernelMoveRule:
     def test_matches_grammar_exhaustively(self):
         # the kernel's rule on packed codes against the move grammar, edge
         # for edge, for every partition of weight <= 20; 5-bit fields hold
-        # the successors' counts, up to 21
+        # the successors' counts, up to 21.  The call without heavier
+        # targets must give the same lighter list, in the same order
         width = 21 .bit_length()
         for state in partitions_up_to_weight(20):
             code = counting.encode(state.parts, width)
             for allow_complex in (True, False):
                 heavier, lighter = counting.legal_moves(code, width, allow_complex)
+                assert counting.legal_moves(code, width, allow_complex, False) == ([], lighter)
                 heavier = [counting.decode(q, width) for q in heavier]
                 lighter = [counting.decode(q, width) for q in lighter]
                 grammar = legal_moves(state, allow_complex)
