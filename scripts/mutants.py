@@ -119,6 +119,22 @@ MUTANTS = (
             (GAMES, "start = ((), (0,", "start = (EMPTY, (0,"),
         ),
     ),
+    Mutant(
+        "game-stats-counts-closing-ps",
+        "tests/test_games.py",
+        ((GAMES, "tally = [0, 0, -1, 0]", "tally = [0, 0, 0, 0]"),),
+    ),
+    Mutant(
+        "tally-columns-swapped",
+        "tests/test_games.py",
+        (
+            (
+                GAMES,
+                "OLIVE_ADD_FIRST,\n        MoveKind.OLIVE_ADD_LATER,",
+                "OLIVE_ADD_LATER,\n        MoveKind.OLIVE_ADD_FIRST,",
+            ),
+        ),
+    ),
 )
 
 

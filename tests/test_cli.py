@@ -18,6 +18,8 @@ from plates_olives.partitions import MoveKind, Partition
 GOLDEN_COUNT_TABLE = "n  count\n0      1\n1      2\n2     10\n3     76\n4    772\n"
 # SHA-256 of the full ``verify`` stdout, the same digest the benchmark pins
 VERIFY_ALL_DIGEST = "90cd3593a4ad40510ceb4806c32e65f08df3e238d96cefd225fb6f2b5db13394"
+# SHA-256 of ``enumerate --n 7 --oracle-ceiling 7 --emit histogram``'s 52 lines
+HISTOGRAM_7_DIGEST = "08d129803001e582bb00d5c85a72033856d606c8b2b56b6a3eaaaddcaf633b15"
 
 
 def run(capsys, argv):
@@ -158,6 +160,7 @@ class TestEnumerate:
         assert rc == 0
         rows = out.splitlines()[1:]
         assert sum(int(r.split(",")[-1]) for r in rows) == count_games(7) == 2758931
+        assert hashlib.sha256(out.encode()).hexdigest() == HISTOGRAM_7_DIGEST
 
 
 class TestRatio:

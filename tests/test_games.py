@@ -236,6 +236,21 @@ class TestGameStats:
                 assert stats.v + stats.p == n
                 assert stats.p_c <= stats.v_f
 
+    def test_matches_skeleton_token_counts(self):
+        # game_stats and game_tallies both read _TALLY_COLUMN, so this is
+        # the check that does not: count the tokens, less the forced P-s
+        for n in range(6):
+            for game in enumerate_games(n):
+                tokens = skeleton(game)
+                counts = (tokens.count(kind) for kind in ("O+f", "O+l", "P-s", "P-c"))
+                v_f, v_l, p_s, p_c = counts
+                assert game_stats(game) == (v_f, v_l, p_s - 1, p_c)
+
+    def test_tally_columns_pinned(self):
+        assert games._TALLY_COLUMN == {
+            "P+": None, "O+f": 0, "O+l": 1, "O-": None, "P-s": 2, "P-c": 3
+        }
+
 
 class TestDyckPath:
     def test_validation(self):
