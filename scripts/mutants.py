@@ -5,12 +5,12 @@ Usage, from anywhere::
     python3 scripts/mutants.py
 
 Each mutant is one or more exact edits to the package, each of whose old
-text must occur exactly once in its file, and a pytest selection that
-should fail on the mutated code.  For each mutant the script copies
-``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a temporary
-directory, applies the edits there, checks that the copy's
-``plates_olives`` is the one Python imports, and runs ``python -m pytest
--q -x -p no:cacheprovider SELECTION`` in the copy.  Only pytest's exit
+text must occur exactly once in its file, and a pytest selection, one or
+more space-separated test ids, that should fail on the mutated code.  For
+each mutant the script copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` to a temporary directory, applies the edits there, checks
+that the copy's ``plates_olives`` is the one Python imports, and runs
+``python -m pytest -q -x -p no:cacheprovider SELECTION`` in the copy.  Only pytest's exit
 status 1 (tests failed) counts as killed.
 
 One JSON line is printed per mutant.  The script exits 1 if any mutant
@@ -38,11 +38,12 @@ PYTEST = ("-q", "-x", "-p", "no:cacheprovider")
 COUNTING = "src/plates_olives/counting.py"
 PARTITIONS = "src/plates_olives/partitions.py"
 GAMES = "src/plates_olives/games.py"
+REFERENCES = "src/plates_olives/references.py"
 
 
 class Mutant(NamedTuple):
     name: str
-    selection: str
+    selection: str  # space-separated test ids
     edits: tuple[tuple[str, str, str], ...]  # (file, old text, new text)
 
 
@@ -98,6 +99,12 @@ MUTANTS = (
         "tests/test_games.py::TestClosedWalks",
         ((GAMES, "left - 1)\n        ]", "left - 1)\n        ][::-1]"),),
     ),
+    # the same walks come out, each node's entries in reverse
+    Mutant(
+        "walk-children-in-order",
+        "tests/test_games.py::TestEnumerate",
+        ((GAMES, "reversed(node(key", "(node(key"),),
+    ),
     Mutant(
         "games-empty-the-table-early",
         "tests/test_games.py::TestClosedWalks",
@@ -132,6 +139,21 @@ MUTANTS = (
                 GAMES,
                 "OLIVE_ADD_FIRST,\n        MoveKind.OLIVE_ADD_LATER,",
                 "OLIVE_ADD_LATER,\n        MoveKind.OLIVE_ADD_FIRST,",
+            ),
+        ),
+    ),
+    # the same paths come out, down-steps first
+    Mutant(
+        "dyck-down-step-first",
+        "tests/test_counting.py::TestWeightedDyckSum"
+        " tests/test_golden.py::test_dyck_path_order",
+        (
+            (
+                REFERENCES,
+                "if h:\n                stack.append((prefix + (-1,), h - 1))\n"
+                "            stack.append((prefix + (1,), h + 1))",
+                "stack.append((prefix + (1,), h + 1))\n"
+                "            if h:\n                stack.append((prefix + (-1,), h - 1))",
             ),
         ),
     ),
@@ -175,7 +197,7 @@ def _run(mutant: Mutant) -> dict:
         if os.path.dirname(found) != os.path.realpath(copy / PACKAGE):
             return result | {"result": "wrong package", "found": found}
         start = time.perf_counter()
-        proc = python("-m", "pytest", *PYTEST, mutant.selection)
+        proc = python("-m", "pytest", *PYTEST, *mutant.selection.split())
     lines = proc.stdout.strip().splitlines()
     return result | {
         "result": {1: "killed", 0: "survived"}.get(proc.returncode, "error"),

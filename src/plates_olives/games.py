@@ -183,13 +183,17 @@ def _closed_walks(
     ``node(key, left)`` is the cached list of ``(label, next key)``
     entries out of ``key`` with ``left`` steps to go; for ``_nodes`` the
     keys are part tuples, since the walk asks the cache at every step.
-    One loop runs over a stack of iterators over the nodes of the current
-    prefix, with no recursion, down to ``length - TAIL`` steps.  At that
-    depth each walk is the prefix plus one entry of ``tails(key, TAIL)``:
-    the (labels, end key) pairs of every walk of ``TAIL`` steps from
-    ``key`` to the drain, built once per key from the same nodes, so the
-    closing steps are not walked again for every prefix.  A node exists
-    only once a walk reaches it.
+    One loop, with no recursion, pops (head, key) pairs off one stack:
+    head is the tuple of a prefix's labels and key is where it ends.  A
+    head shorter than ``top = max(length - TAIL, 0)`` pushes one pair per
+    entry of its node, in reverse, so the first entry is popped first.
+    A head of ``top`` labels ends one walk per entry of ``tails(key,
+    length - top)``: the (labels, end key) pairs of every walk of that
+    many steps from ``key`` to the drain, built once per key from the
+    same nodes, so the closing steps are not walked again for every
+    prefix.  A node is built only when a pair that reaches it is popped.
+    A pending pair holds its whole head, so the stack holds O(depth^2)
+    labels where a single live prefix would hold O(depth).
     """
 
     @cache
@@ -202,32 +206,29 @@ def _closed_walks(
             for labels, end in tails(nxt, left - 1)
         ]
 
-    top = length - TAIL
-    if top <= 0:
-        yield from tails(start, length)
-        return
-    labels: list = []
-    stack = [iter(node(start, length))]
+    top = max(length - TAIL, 0)
+    stack = [((), start)]
     while stack:
-        for label, nxt in stack[-1]:
-            labels.append(label)
-            if len(labels) < top:
-                stack.append(iter(node(nxt, length - len(labels))))
-                break
-            head = tuple(labels)
-            for tail, end in tails(nxt, TAIL):
+        head, key = stack.pop()
+        if len(head) == top:
+            for tail, end in tails(key, length - top):
                 yield head + tail, end
-            labels.pop()
-        else:
-            # every entry of the node the prefix reached is done: step back
-            stack.pop()
-            if labels:
-                labels.pop()
+            continue
+        # pushed in reverse, the node's first entry is popped first
+        for label, nxt in reversed(node(key, length - len(head))):
+            stack.append((head + (label,), nxt))
+
+
+def check_oracle_ceiling(ceiling: int) -> None:
+    """Refuse a negative oracle ceiling, which would admit no length."""
+    if ceiling < 0:
+        raise InvalidArgument("oracle ceiling must be nonnegative")
 
 
 def _check_game_length(n: int, ceiling: int) -> None:
     if n < 0:
         raise InvalidArgument("game length must be nonnegative")
+    check_oracle_ceiling(ceiling)
     if n > ceiling:
         raise CeilingExceeded(
             f"exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"

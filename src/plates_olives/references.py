@@ -35,31 +35,27 @@ def dyck_paths(semilength: int) -> Iterator[tuple[int, ...]]:
     """All Dyck paths of the given semilength as +1/-1 step tuples, up-steps
     before down-steps, so in descending lexicographic order.
 
-    One loop over a stack of (steps taken, last step, height) entries and
-    one live step list, whose first ``steps taken`` entries are the current
-    prefix, so no semilength raises ``RecursionError``.  A prefix whose
-    height equals the steps left can only go down from there, so it yields
-    at once, with those down-steps appended.  The argument is checked at
-    the call, before the walk starts.
+    One loop over a stack of (prefix, height) pairs, each holding its
+    whole step tuple, so no semilength raises ``RecursionError``.  A prefix
+    whose height equals the steps left can only go down from there, so it
+    yields at once, with those down-steps appended.  The argument is
+    checked at the call, before the walk starts.
     """
     if semilength < 0:
         raise InvalidArgument("semilength must be nonnegative")
     total = 2 * semilength
 
     def walk() -> Iterator[tuple[int, ...]]:
-        steps = [0] * total
-        stack = [(0, 0, 0)]
+        stack = [((), 0)]
         while stack:
-            pos, step, h = stack.pop()
-            if pos:
-                steps[pos - 1] = step
-            if h == total - pos:
-                yield tuple(steps[:pos]) + (-1,) * h
+            prefix, h = stack.pop()
+            if h == total - len(prefix):
+                yield prefix + (-1,) * h
                 continue
             # pushed last, the up-step comes out first
             if h:
-                stack.append((pos + 1, -1, h - 1))
-            stack.append((pos + 1, 1, h + 1))
+                stack.append((prefix + (-1,), h - 1))
+            stack.append((prefix + (1,), h + 1))
 
     return walk()
 

@@ -336,15 +336,16 @@ def run_suites(
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> list[tuple[str, CheckResult]]:
     """Run the named suites in order; results are (suite, check) pairs.
-    Every name is checked before any suite runs.
+    Every argument is checked before any suite runs.
 
     ``oracle`` and ``claims`` both read the games of every length
     n <= ``ceiling``.  Each length is walked at most once per run, by one
     pass that counts its games for ``oracle`` and checks the per-game
     claims on them for ``claims``, whichever of the two suites is run.
     """
-    if ceiling < 0:
-        raise InvalidArgument("oracle ceiling must be nonnegative")
+    games.check_oracle_ceiling(ceiling)
+    if max_states < 1:
+        raise InvalidArgument("max_states must be positive")
     if unknown := [name for name in names if name not in SUITES]:
         raise InvalidArgument(f"unknown suite {', '.join(map(repr, unknown))}")
     sweep = cache(lambda n: _sweep_games(n, ceiling))

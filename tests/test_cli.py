@@ -153,6 +153,12 @@ class TestEnumerate:
         assert rc == 1
         assert "ceiling" in err
 
+    def test_negative_ceiling_rejected(self, capsys):
+        rc, out, err = run(capsys, ["enumerate", "--n", "0", "--oracle-ceiling", "-1"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: oracle ceiling must be nonnegative\n"
+
     def test_ceiling_opt_in(self, capsys):
         rc, out, _ = run(
             capsys, ["enumerate", "--n", "7", "--oracle-ceiling", "7", "--emit", "histogram"]
@@ -250,6 +256,13 @@ class TestVerifyCommand:
         assert rc == 1
         assert out == ""
         assert err == "error: oracle ceiling must be nonnegative\n"
+
+    def test_max_states_below_one_rejected_before_any_suite(self, capsys):
+        # claims runs no counter, so only the up-front check can refuse it
+        rc, out, err = run(capsys, ["verify", "--suite", "claims", "--max-states", "0"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: max_states must be positive\n"
 
     def test_wrong_count_fails_oracle(self, capsys, monkeypatch):
         real = counting.count_games_through

@@ -189,6 +189,12 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             next(enumerate_games(-1))
 
+    @pytest.mark.parametrize("enumerator", [enumerate_games, stats_histogram, game_tallies])
+    def test_negative_ceiling_rejected_at_the_call(self, enumerator):
+        # no next(): the ceiling is checked before a generator exists
+        with pytest.raises(InvalidArgument, match="^oracle ceiling must be nonnegative$"):
+            enumerator(0, ceiling=-1)
+
     def test_round_trip_text(self):
         for game in enumerate_games(3):
             assert parse_game(game.text).moves == game.moves

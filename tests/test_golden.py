@@ -63,6 +63,8 @@ def _commands() -> list[tuple[str, ...]]:
     argvs.append(("enumerate", "--n", "-1"))
     argvs.append(("verify", "--oracle-ceiling", "-1"))
     argvs.append(("verify", "--suite", "paper-values", "--max-states", "0"))
+    argvs.append(("enumerate", "--n", "0", "--oracle-ceiling", "-1"))
+    argvs.append(("verify", "--suite", "claims", "--max-states", "0"))
     argvs.append(("bounds", "--max-n", "0"))
     return argvs
 
@@ -119,6 +121,8 @@ GOLDEN = {
     ('enumerate', '--n', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: game length must be nonnegative\n'),
     ('verify', '--oracle-ceiling', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: oracle ceiling must be nonnegative\n'),
     ('verify', '--suite', 'paper-values', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
+    ('enumerate', '--n', '0', '--oracle-ceiling', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: oracle ceiling must be nonnegative\n'),
+    ('verify', '--suite', 'claims', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
     ('bounds', '--max-n', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be at least 1\n'),
 }
 
