@@ -10,8 +10,8 @@ more space-separated test ids, that should fail on the mutated code.  For
 each mutant the script copies ``src/``, ``tests/``, ``pyproject.toml`` and
 ``README.md`` to a temporary directory, applies the edits there, checks
 that the copy's ``plates_olives`` is the one Python imports, and runs
-``python -m pytest -q -x -p no:cacheprovider SELECTION`` in the copy.  Only pytest's exit
-status 1 (tests failed) counts as killed.
+``python -m pytest -q -x -p no:cacheprovider SELECTION`` in the copy.
+Only pytest's exit status 1 (tests failed) counts as killed.
 
 One JSON line is printed per mutant.  The script exits 1 if any mutant
 survives, any edit does not apply, or pytest ends any other way.  The

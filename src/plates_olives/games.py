@@ -192,8 +192,8 @@ def _closed_walks(
     many steps from ``key`` to the drain, built once per key from the
     same nodes, so the closing steps are not walked again for every
     prefix.  A node is built only when a pair that reaches it is popped.
-    A pending pair holds its whole head, so the stack holds O(depth^2)
-    labels where a single live prefix would hold O(depth).
+    A pending pair holds its whole head, so a walk ``d`` steps deep keeps
+    O(d^2) labels on the stack.
     """
 
     @cache
