@@ -39,6 +39,8 @@ COUNTING = "src/plates_olives/counting.py"
 PARTITIONS = "src/plates_olives/partitions.py"
 GAMES = "src/plates_olives/games.py"
 REFERENCES = "src/plates_olives/references.py"
+VERIFY = "src/plates_olives/verify.py"
+VERIFY_TESTS = "tests/test_cli.py::TestVerifyCommand::"
 
 
 class Mutant(NamedTuple):
@@ -154,6 +156,53 @@ MUTANTS = (
                 "            stack.append((prefix + (1,), h + 1))",
                 "stack.append((prefix + (1,), h + 1))\n"
                 "            if h:\n                stack.append((prefix + (-1,), h - 1))",
+            ),
+        ),
+    ),
+    Mutant(
+        "claims-tally-allows-extra-merges",
+        VERIFY_TESTS + "test_more_merges_than_first_olives_fails_tallies",
+        ((VERIFY, " or p_c > v_f)", ")"),),
+    ),
+    Mutant(
+        "claims-dyck-allows-a-dip",
+        VERIFY_TESTS + "test_olive_projection_that_is_no_dyck_path_fails",
+        ((VERIFY, "(low < 0 or height", "(height"),),
+    ),
+    Mutant(
+        "claims-caps-always-pass",
+        VERIFY_TESTS + "test_cap_one_short_fails_only_the_capped_checks",
+        ((VERIFY, '"move-capacity-caps", cap_ok,', '"move-capacity-caps", True,'),),
+    ),
+    Mutant(
+        "claims-distinct-sizes-always-pass",
+        VERIFY_TESTS + "test_cap_one_short_fails_only_the_capped_checks",
+        ((VERIFY, '-capped", distinct_ok,', '-capped", True,'),),
+    ),
+    Mutant(
+        "claims-graph-always-simple",
+        VERIFY_TESTS + "test_two_moves_to_one_state_fail_only_simplicity",
+        ((VERIFY, "len(successors) == len(set(successors))", "True"),),
+    ),
+    Mutant(
+        "bounds-ratio-always-decreasing",
+        VERIFY_TESTS + "test_rising_ratio_fails_only_monotonicity",
+        ((VERIFY, "not any(row.monotone_violation for row in table)", "True"),),
+    ),
+    Mutant(
+        "bounds-closed-always-dominates",
+        VERIFY_TESTS + "test_closed_count_below_games_fails_only_dominance",
+        ((VERIFY, "all(closed[n] >= counts[n] for n in range(9))", "True"),),
+    ),
+    Mutant(
+        "bounds-lower-bound-always-holds",
+        VERIFY_TESTS + "test_count_below_double_factorial_fails_the_bound",
+        (
+            (
+                VERIFY,
+                "all(counts[n] >= references.double_factorial(2 * n - 1)"
+                " for n in range(1, 19))",
+                "True",
             ),
         ),
     ),

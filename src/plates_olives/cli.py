@@ -293,10 +293,7 @@ def cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> int:
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     failures = 0
-    checks = verify.run_suites(
-        names, ceiling=args.oracle_ceiling, max_states=args.max_states
-    )
-    for suite, check in checks:
+    for suite, check in verify.run_suites(names, ceiling=args.oracle_ceiling):
         if check.ok:
             out.write(f"PASS [{suite}] {check.name}\n")
         else:
@@ -321,19 +318,15 @@ def cmd_table(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _add_max_states(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-states", type=int, default=DEFAULT_STATE_LIMIT,
-        help="abort counting beyond this many distinct states",
-    )
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default table)",
     )
-    _add_max_states(parser)
+    parser.add_argument(
+        "--max-states", type=int, default=DEFAULT_STATE_LIMIT,
+        help="abort counting beyond this many distinct states",
+    )
     parser.add_argument(
         "--cache", metavar="PATH", default=None,
         help="counts cache file (falls back to $OLIVE_CACHE)",
@@ -377,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-ceiling", type=int, default=games.DEFAULT_ORACLE_CEILING,
         help="largest n the oracle and claims suites walk",
     )
-    _add_max_states(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ratio = sub.add_parser("ratio", help="growth-ratio table r_n = M_n^(1/n)/n")

@@ -29,7 +29,6 @@ from typing import Callable
 
 from . import analysis, counting, games, partitions, references
 from .errors import InvalidArgument, PlatesOlivesError
-from .counting import DEFAULT_STATE_LIMIT
 from .partitions import MoveKind
 
 # The interim-returns closed-walk counts were once circulated as
@@ -85,15 +84,15 @@ def renewal_closed_counts(game_counts: list[int]) -> list[int]:
     return [by_len[2 * n + 2] for n in range(len(game_counts))]
 
 
-def suite_paper_values(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
+def suite_paper_values(ceiling: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
-    counts = counting.count_games_through(18, max_states=max_states)
+    counts = counting.count_games_through(18)
     got = tuple(counts[:5])
     _check(out, "game-counts-0-4", got == GOLDEN_GAME_COUNTS, f"got {got}")
 
-    with_merges = tuple(counting.count_closed_walks_through(4, max_states=max_states))
+    with_merges = tuple(counting.count_closed_walks_through(4))
     # without merges, closed walks are Young walks; drop the length-0 row
-    without = tuple(counting.count_young_walks_through(5, max_states=max_states)[1:])
+    without = tuple(counting.count_young_walks_through(5)[1:])
     _check(
         out,
         "closed-walks-2-3",
@@ -141,7 +140,7 @@ def suite_paper_values(ceiling: int, max_states: int, sweep: Sweep) -> list[Chec
     return out
 
 
-def suite_identities(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
+def suite_identities(ceiling: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     double_factorial = references.double_factorial
     brute = [references.weighted_dyck_sum_by_enumeration(v) for v in range(13)]
@@ -164,7 +163,7 @@ def suite_identities(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckR
         brute == dp[:13],
         "dual routes agree where both run",
     )
-    young = counting.count_young_walks_through(10, max_states=max_states)
+    young = counting.count_young_walks_through(10)
     _check(
         out,
         "young-walks-vs-double-factorial",
@@ -221,9 +220,9 @@ def _sweep_games(n: int, ceiling: int) -> SweepResult:
     return seen, bad_tally, bad_dyck
 
 
-def suite_oracle(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
+def suite_oracle(ceiling: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
-    counts = counting.count_games_through(ceiling, max_states=max_states)
+    counts = counting.count_games_through(ceiling)
     for n in range(ceiling + 1):
         seen = sweep(n)[0]
         _check(
@@ -235,9 +234,9 @@ def suite_oracle(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
     return out
 
 
-def suite_bounds(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
+def suite_bounds(ceiling: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
-    counts = counting.count_games_through(18, max_states=max_states)
+    counts = counting.count_games_through(18)
     _check(
         out,
         "double-factorial-lower-bound",
@@ -251,7 +250,7 @@ def suite_bounds(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
         not any(row.monotone_violation for row in table),
         "r_n decreasing for 1 <= n <= 18",
     )
-    closed = counting.count_closed_walks_through(8, max_states=max_states)
+    closed = counting.count_closed_walks_through(8)
     _check(
         out,
         "closed-dominates-first-return",
@@ -266,7 +265,7 @@ def suite_bounds(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
     return out
 
 
-def suite_claims(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResult]:
+def suite_claims(ceiling: int, sweep: Sweep) -> list[CheckResult]:
     out: list[CheckResult] = []
     cap_ok = True
     profile_ok = True
@@ -319,8 +318,8 @@ def suite_claims(ceiling: int, max_states: int, sweep: Sweep) -> list[CheckResul
     return out
 
 
-# every suite is called as suite(ceiling, max_states, sweep), where sweep is
-# the run's shared pass over the games of each length
+# every suite is called as suite(ceiling, sweep), where sweep is the run's
+# shared pass over the games of each length
 SUITES = {
     "paper-values": suite_paper_values,
     "identities": suite_identities,
@@ -331,12 +330,13 @@ SUITES = {
 
 
 def run_suites(
-    names: list[str],
-    ceiling: int = games.DEFAULT_ORACLE_CEILING,
-    max_states: int = DEFAULT_STATE_LIMIT,
+    names: list[str], ceiling: int = games.DEFAULT_ORACLE_CEILING
 ) -> list[tuple[str, CheckResult]]:
     """Run the named suites in order; results are (suite, check) pairs.
-    Every argument is checked before any suite runs.
+    Every argument is checked before any suite runs.  Counts run under the
+    counters' default state budget, which only ``oracle`` can reach: its
+    one count is of the games through ``ceiling``, and the first ceiling
+    past the budget, 62, is far past any the oracle can walk.
 
     ``oracle`` and ``claims`` both read the games of every length
     n <= ``ceiling``.  Each length is walked at most once per run, by one
@@ -344,13 +344,11 @@ def run_suites(
     claims on them for ``claims``, whichever of the two suites is run.
     """
     games.check_oracle_ceiling(ceiling)
-    if max_states < 1:
-        raise InvalidArgument("max_states must be positive")
     if unknown := [name for name in names if name not in SUITES]:
         raise InvalidArgument(f"unknown suite {', '.join(map(repr, unknown))}")
     sweep = cache(lambda n: _sweep_games(n, ceiling))
     out: list[tuple[str, CheckResult]] = []
     for name in names:
-        for result in SUITES[name](ceiling, max_states, sweep):
+        for result in SUITES[name](ceiling, sweep):
             out.append((name, result))
     return out

@@ -257,17 +257,23 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: oracle ceiling must be nonnegative\n"
 
-    def test_max_states_below_one_rejected_before_any_suite(self, capsys):
-        # claims runs no counter, so only the up-front check can refuse it
-        rc, out, err = run(capsys, ["verify", "--suite", "claims", "--max-states", "0"])
-        assert rc == 1
-        assert out == ""
-        assert err == "error: max_states must be positive\n"
+    def test_ceiling_past_the_budget_walks_no_game(self, capsys, monkeypatch):
+        # the games through n = 62 need more states than the counters'
+        # default budget, so the oracle's count fails before any game is
+        # walked; no smaller ceiling reaches the budget
+        def no_walk(n, ceiling):
+            raise AssertionError("walked the games of a length")
+
+        monkeypatch.setattr(games, "game_tallies", no_walk)
+        argv = ["verify", "--suite", "oracle", "--oracle-ceiling", "62"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: more than 10000000 distinct states; raise max_states to continue\n"
 
     def test_wrong_count_fails_oracle(self, capsys, monkeypatch):
         real = counting.count_games_through
 
-        def off_by_one(max_n, max_states):
+        def off_by_one(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
             counts = real(max_n, max_states=max_states)
             counts[3] += 1
             return counts
@@ -329,11 +335,134 @@ class TestVerifyCommand:
             "FAIL: 1 failed",
         ]
 
-    @pytest.mark.parametrize("suite", ["paper-values", "identities", "oracle", "bounds"])
-    def test_every_counting_suite_honours_max_states(self, capsys, suite):
-        rc, out, err = run(capsys, ["verify", "--suite", suite, "--max-states", "5"])
-        assert (rc, out) == (1, "")
-        assert err == "error: more than 5 distinct states; raise max_states to continue\n"
+    def test_more_merges_than_first_olives_fails_tallies(self, capsys, monkeypatch):
+        real = games.game_tallies
+        merged = []
+
+        def tallies(n, ceiling):
+            for moves, (v_f, v_l, p_s, p_c, up, height, low) in real(n, ceiling=ceiling):
+                if p_c and not merged:
+                    # v + p = n still holds, but p_c > v_f
+                    merged.append(moves)
+                    v_f, v_l = 0, v_f + v_l
+                yield moves, [v_f, v_l, p_s, p_c, up, height, low]
+
+        monkeypatch.setattr(games, "game_tallies", tallies)
+        first_merge = next(
+            g.text for n in range(7) for g in enumerate_games(n) if "P-c" in g.text
+        )
+        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
+        assert rc == 1
+        assert out.splitlines() == [
+            "PASS [claims] distinct-part-sizes-capped",
+            "PASS [claims] move-capacity-caps",
+            "PASS [claims] profile-matches-legal-moves",
+            "PASS [claims] transition-graph-simple",
+            f"FAIL [claims] per-game-move-tallies: stats violation in {first_merge}",
+            "PASS [claims] olive-dyck-projection",
+            "FAIL: 1 failed",
+        ]
+
+    def test_cap_one_short_fails_only_the_capped_checks(self, capsys, monkeypatch):
+        real = partitions.w_cap
+        monkeypatch.setattr(partitions, "w_cap", lambda t: real(t) - 1)
+        argv = ["verify", "--suite", "claims", "--oracle-ceiling", "2"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 1
+        assert out.splitlines() == [
+            "FAIL [claims] distinct-part-sizes-capped: weight <= 20",
+            "FAIL [claims] move-capacity-caps: weight <= 20",
+            "PASS [claims] profile-matches-legal-moves",
+            "PASS [claims] transition-graph-simple",
+            "PASS [claims] per-game-move-tallies",
+            "PASS [claims] olive-dyck-projection",
+            "FAIL: 2 failed",
+        ]
+
+    def test_two_moves_to_one_state_fail_only_simplicity(self, capsys, monkeypatch):
+        real = partitions.legal_moves
+
+        def legal_moves(state, allow_complex=True):
+            moves = real(state, allow_complex)
+            if state == Partition((2, 1)):
+                # the second move keeps its kind but lands where the first does
+                (first, nxt), (second, _), *rest = moves
+                moves = [(first, nxt), (second, nxt), *rest]
+            return moves
+
+        monkeypatch.setattr(partitions, "legal_moves", legal_moves)
+        argv = ["verify", "--suite", "claims", "--oracle-ceiling", "2"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 1
+        assert out.splitlines() == [
+            "PASS [claims] distinct-part-sizes-capped",
+            "PASS [claims] move-capacity-caps",
+            "PASS [claims] profile-matches-legal-moves",
+            "FAIL [claims] transition-graph-simple: weight <= 20",
+            "PASS [claims] per-game-move-tallies",
+            "PASS [claims] olive-dyck-projection",
+            "FAIL: 1 failed",
+        ]
+
+    def test_rising_ratio_fails_only_monotonicity(self, capsys, monkeypatch):
+        real = counting.count_games_through
+
+        def raised(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
+            counts = real(max_n, max_states=max_states)
+            counts[18] *= 2  # r_18 rises from 1.0921 past r_17 = 1.0946
+            return counts
+
+        monkeypatch.setattr(counting, "count_games_through", raised)
+        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
+        assert rc == 1
+        assert out.splitlines() == [
+            "PASS [bounds] double-factorial-lower-bound",
+            "FAIL [bounds] ratio-strictly-decreasing: r_n decreasing for 1 <= n <= 18",
+            "PASS [bounds] closed-dominates-first-return",
+            "PASS [bounds] bound-table-builds",
+            "FAIL: 1 failed",
+        ]
+
+    def test_closed_count_below_games_fails_only_dominance(self, capsys, monkeypatch):
+        real = counting.count_closed_walks_through
+
+        def lowered(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
+            closed = real(max_n, max_states=max_states)
+            closed[4] = 771  # one below M_4 = 772
+            return closed
+
+        monkeypatch.setattr(counting, "count_closed_walks_through", lowered)
+        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
+        assert rc == 1
+        assert out.splitlines() == [
+            "PASS [bounds] double-factorial-lower-bound",
+            "PASS [bounds] ratio-strictly-decreasing",
+            "FAIL [bounds] closed-dominates-first-return: "
+            "interim returns only add walks, n <= 8",
+            "PASS [bounds] bound-table-builds",
+            "FAIL: 1 failed",
+        ]
+
+    def test_count_below_double_factorial_fails_the_bound(self, capsys, monkeypatch):
+        real = counting.count_games_through
+
+        def lowered(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
+            counts = real(max_n, max_states=max_states)
+            counts[5] = 944  # one below 9!! = 945
+            return counts
+
+        monkeypatch.setattr(counting, "count_games_through", lowered)
+        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
+        assert rc == 1
+        # r_5 falls below r_6, and the bound table refuses the count
+        assert out.splitlines() == [
+            "FAIL [bounds] double-factorial-lower-bound: M_n >= (2n-1)!! for n <= 18",
+            "FAIL [bounds] ratio-strictly-decreasing: r_n decreasing for 1 <= n <= 18",
+            "PASS [bounds] closed-dominates-first-return",
+            "FAIL [bounds] bound-table-builds: "
+            "count 944 at n=5 fell below the proven bound 945",
+            "FAIL: 3 failed",
+        ]
 
     def test_bound_table_failure_is_reported(self, capsys, monkeypatch):
         def below_bound(counts):
@@ -352,22 +481,26 @@ class TestVerifyCommand:
         real = games.game_tallies
         first_of_two = next(enumerate_games(2))
 
-        def tallies(n, ceiling):
-            for moves, tally in real(n, ceiling=ceiling):
-                if n == 2 and tuple(moves) == first_of_two.moves:
-                    # the olive path of DyckPath((-1, 1)): lowest height -1
-                    tally = [*tally[:4], 1, 0, -1]
-                yield moves, tally
+        # the olive path of DyckPath((-1, 1)), lowest height -1, with one
+        # up-step, then with v = 2 up-steps, so the dip alone is at fault
+        for up in (1, 2):
 
-        monkeypatch.setattr(games, "game_tallies", tallies)
-        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
-        assert rc == 1
-        assert (
-            "FAIL [claims] olive-dyck-projection: path dips below the axis in "
-            f"{first_of_two.text}\n" in out
-        )
-        assert "PASS [claims] per-game-move-tallies" in out
-        assert out.endswith("FAIL: 1 failed\n")
+            def tallies(n, ceiling, up=up):
+                for moves, tally in real(n, ceiling=ceiling):
+                    if n == 2 and tuple(moves) == first_of_two.moves:
+                        assert tally[0] + tally[1] == 2
+                        tally = [*tally[:4], up, 0, -1]
+                    yield moves, tally
+
+            monkeypatch.setattr(games, "game_tallies", tallies)
+            rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
+            assert rc == 1
+            assert (
+                "FAIL [claims] olive-dyck-projection: path dips below the axis in "
+                f"{first_of_two.text}\n" in out
+            )
+            assert "PASS [claims] per-game-move-tallies" in out
+            assert out.endswith("FAIL: 1 failed\n")
 
     def test_olive_projection_that_ends_above_the_axis_fails(self, capsys, monkeypatch):
         real = games.game_tallies
@@ -719,9 +852,14 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_unknown_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--max-n", "3", "--plot"])
-        assert exc.value.code == 2
+        # verify takes no state budget: its counts run under the default one
+        for argv in (
+            ["count", "--max-n", "3", "--plot"],
+            ["verify", "--max-states", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_bad_variant(self, capsys):
         with pytest.raises(SystemExit) as exc:

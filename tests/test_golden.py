@@ -62,9 +62,7 @@ def _commands() -> list[tuple[str, ...]]:
     argvs.append(("count", "--max-n", "10", "--max-states", "20"))
     argvs.append(("enumerate", "--n", "-1"))
     argvs.append(("verify", "--oracle-ceiling", "-1"))
-    argvs.append(("verify", "--suite", "paper-values", "--max-states", "0"))
     argvs.append(("enumerate", "--n", "0", "--oracle-ceiling", "-1"))
-    argvs.append(("verify", "--suite", "claims", "--max-states", "0"))
     argvs.append(("bounds", "--max-n", "0"))
     return argvs
 
@@ -120,9 +118,7 @@ GOLDEN = {
     ('count', '--max-n', '10', '--max-states', '20'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: more than 20 distinct states; raise max_states to continue\n'),
     ('enumerate', '--n', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: game length must be nonnegative\n'),
     ('verify', '--oracle-ceiling', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: oracle ceiling must be nonnegative\n'),
-    ('verify', '--suite', 'paper-values', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
     ('enumerate', '--n', '0', '--oracle-ceiling', '-1'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: oracle ceiling must be nonnegative\n'),
-    ('verify', '--suite', 'claims', '--max-states', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_states must be positive\n'),
     ('bounds', '--max-n', '0'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be at least 1\n'),
 }
 
@@ -132,7 +128,7 @@ HELP_GOLDEN = {
     ('--help',): (0, '394665ff8af0e4a97a29f9b94fb5e8aaaff8acf6a473988bb4ca7fb4890ac099', ''),
     ('count', '--help'): (0, '5967f0f1716acb3a48f9aefe337da0715091c08a6a4e7ae4ce5058e74c423142', ''),
     ('enumerate', '--help'): (0, '6f42db295bd6080acccb2d0e0b7b381456540de2c0f348adfea5c0e229f43455', ''),
-    ('verify', '--help'): (0, 'aaa7a56a81b5df38b7a3b2dbabeb65d9f59fb5d338b3a354ed94ec090b65dfd6', ''),
+    ('verify', '--help'): (0, '02d1fb829d540fcb76df1ff8b51ec2d36f6c340e52b03e7f6d648d8d983f3f16', ''),
     ('ratio', '--help'): (0, 'a482cb3ccef84dd513de168d52028d805480e9769f35633ede216e94810b4247', ''),
     ('bounds', '--help'): (0, 'a9fe6e11507c18d267c7626e97efcde72d3c13f3ae3f1507321f36a7f4eeaaa7', ''),
 }
