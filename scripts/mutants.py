@@ -40,7 +40,8 @@ PARTITIONS = "src/plates_olives/partitions.py"
 GAMES = "src/plates_olives/games.py"
 REFERENCES = "src/plates_olives/references.py"
 VERIFY = "src/plates_olives/verify.py"
-VERIFY_TESTS = "tests/test_cli.py::TestVerifyCommand::"
+# one row of the verify fault table, by its id
+FAULT_ROW = "tests/test_cli.py::TestVerifyCommand::test_fault_fails_named_checks[{}]"
 
 
 class Mutant(NamedTuple):
@@ -161,42 +162,42 @@ MUTANTS = (
     ),
     Mutant(
         "claims-tally-allows-extra-merges",
-        VERIFY_TESTS + "test_more_merges_than_first_olives_fails_tallies",
+        FAULT_ROW.format("claims-more-merges-than-first-olives"),
         ((VERIFY, " or p_c > v_f)", ")"),),
     ),
     Mutant(
         "claims-dyck-allows-a-dip",
-        VERIFY_TESTS + "test_olive_projection_that_is_no_dyck_path_fails",
+        FAULT_ROW.format("claims-dip-with-two-up-steps"),
         ((VERIFY, "(low < 0 or height", "(height"),),
     ),
     Mutant(
         "claims-caps-always-pass",
-        VERIFY_TESTS + "test_cap_one_short_fails_only_the_capped_checks",
+        FAULT_ROW.format("claims-cap-one-short"),
         ((VERIFY, '"move-capacity-caps", cap_ok,', '"move-capacity-caps", True,'),),
     ),
     Mutant(
         "claims-distinct-sizes-always-pass",
-        VERIFY_TESTS + "test_cap_one_short_fails_only_the_capped_checks",
+        FAULT_ROW.format("claims-cap-one-short"),
         ((VERIFY, '-capped", distinct_ok,', '-capped", True,'),),
     ),
     Mutant(
         "claims-graph-always-simple",
-        VERIFY_TESTS + "test_two_moves_to_one_state_fail_only_simplicity",
+        FAULT_ROW.format("claims-two-moves-to-one-state"),
         ((VERIFY, "len(successors) == len(set(successors))", "True"),),
     ),
     Mutant(
         "bounds-ratio-always-decreasing",
-        VERIFY_TESTS + "test_rising_ratio_fails_only_monotonicity",
+        FAULT_ROW.format("bounds-m18-doubled"),
         ((VERIFY, "not any(row.monotone_violation for row in table)", "True"),),
     ),
     Mutant(
         "bounds-closed-always-dominates",
-        VERIFY_TESTS + "test_closed_count_below_games_fails_only_dominance",
+        FAULT_ROW.format("bounds-closed-row-4-below-m4"),
         ((VERIFY, "all(closed[n] >= counts[n] for n in range(9))", "True"),),
     ),
     Mutant(
         "bounds-lower-bound-always-holds",
-        VERIFY_TESTS + "test_count_below_double_factorial_fails_the_bound",
+        FAULT_ROW.format("bounds-m5-below-double-factorial"),
         (
             (
                 VERIFY,
@@ -205,6 +206,120 @@ MUTANTS = (
                 "True",
             ),
         ),
+    ),
+    Mutant(
+        "paper-game-counts-always-pass",
+        FAULT_ROW.format("paper-m3-one-high"),
+        ((VERIFY, "got == GOLDEN_GAME_COUNTS", "True"),),
+    ),
+    Mutant(
+        "paper-closed-2-3-always-pass",
+        FAULT_ROW.format("paper-closed-row-2-one-low"),
+        ((VERIFY, "with_merges[2:4] == QUOTED_CLOSED_TRIPLE[:2]", "True"),),
+    ),
+    Mutant(
+        "paper-n4-discrepancy-always-pass",
+        FAULT_ROW.format("paper-young-row-5-one-high"),
+        (
+            (
+                VERIFY,
+                "with_merges == CLOSED_WITH_MERGES\n"
+                "        and without == CLOSED_WITHOUT_MERGES\n"
+                "        and QUOTED_CLOSED_TRIPLE[2] not in (with_merges[4], without[4])",
+                "True",
+            ),
+        ),
+    ),
+    Mutant(
+        "paper-renewal-always-pass",
+        FAULT_ROW.format("paper-m3-one-high"),
+        ((VERIFY, "renewal == with_merges", "True"),),
+    ),
+    Mutant(
+        "paper-tangent-always-pass",
+        FAULT_ROW.format("paper-tangent-one-high"),
+        ((VERIFY, "tangent == TANGENT_TABLE", "True"),),
+    ),
+    Mutant(
+        "paper-geometric-always-pass",
+        FAULT_ROW.format("paper-geometric-one-low"),
+        (
+            (
+                VERIFY,
+                "references.GEOMETRIC_CLASS_COUNTS\n"
+                "        == ((0, 1), (1, 2), (2, 19), (3, 428), (4, 17746))",
+                "True",
+            ),
+        ),
+    ),
+    Mutant(
+        "paper-catalan-always-pass",
+        FAULT_ROW.format("paper-catalan-one-high"),
+        ((VERIFY, "cats == CATALAN_TABLE", "True"),),
+    ),
+    Mutant(
+        "paper-ratio-at-18-always-pass",
+        FAULT_ROW.format("paper-m18-doubled"),
+        ((VERIFY, "abs(r18 - RATIO_AT_18) < RATIO_TOLERANCE", "True"),),
+    ),
+    Mutant(
+        "identities-brute-always-pass",
+        FAULT_ROW.format("identities-brute-one-high-at-5"),
+        (
+            (
+                VERIFY,
+                "all(brute[v] == double_factorial(2 * v - 1) for v in range(13))",
+                "True",
+            ),
+        ),
+    ),
+    Mutant(
+        "identities-dp-always-pass",
+        FAULT_ROW.format("identities-dp-one-high-at-150"),
+        ((VERIFY, "all(dp[v] == double_factorial(2 * v - 1) for v in range(201))", "True"),),
+    ),
+    Mutant(
+        "identities-brute-vs-dp-always-pass",
+        FAULT_ROW.format("identities-brute-one-high-at-5"),
+        ((VERIFY, "brute == dp[:13]", "True"),),
+    ),
+    Mutant(
+        "identities-young-always-pass",
+        FAULT_ROW.format("identities-young-row-5-one-high"),
+        (
+            (
+                VERIFY,
+                "all(young[n] == double_factorial(2 * n - 1) for n in range(11))",
+                "True",
+            ),
+        ),
+    ),
+    Mutant(
+        "identities-proper-dyck-always-pass",
+        FAULT_ROW.format("identities-proper-dyck-one-high"),
+        (
+            (
+                VERIFY,
+                "references.count_proper_dyck_paths(n) == references.catalan(n)",
+                "True",
+            ),
+        ),
+    ),
+    Mutant(
+        "identities-zigzag-always-pass",
+        FAULT_ROW.format("identities-zigzag-one-high"),
+        (
+            (
+                VERIFY,
+                "references.count_zigzag_permutations(2 * n + 2) == references.tangent_numbers(n)",
+                "True",
+            ),
+        ),
+    ),
+    Mutant(
+        "identities-recurrence-always-pass",
+        FAULT_ROW.format("identities-double-factorial-one-high-at-30"),
+        ((VERIFY, "double_factorial(m) == m * double_factorial(m - 2)", "True"),),
     ),
 )
 

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import tracemalloc
+from functools import cache
+from types import ModuleType
+from typing import Callable, NamedTuple
 
 import pytest
 
-from plates_olives import analysis, counting, games, partitions, verify
+from plates_olives import analysis, counting, games, partitions, references, verify
 from plates_olives.cli import VARIANTS, CacheFile, main
 from plates_olives.errors import InvalidArgument, PlatesOlivesError
 from plates_olives.counting import count_games
-from plates_olives.games import enumerate_games, parse_game
+from plates_olives.games import parse_game
 from plates_olives.partitions import MoveKind, Partition
 
 GOLDEN_COUNT_TABLE = "n  count\n0      1\n1      2\n2     10\n3     76\n4    772\n"
@@ -205,6 +210,237 @@ class TestBounds:
             assert int(cells[1]) >= int(cells[2])
 
 
+class Fault(NamedTuple):
+    """A row of TestVerifyCommand's fault table: ``make(real)`` replaces
+    ``module.attr``, and ``verify --suite suite --oracle-ceiling ceiling``
+    then fails exactly the checks in ``fails``, each with its detail."""
+
+    suite: str
+    module: ModuleType
+    attr: str
+    make: Callable
+    fails: dict[str, str]
+    ceiling: int = games.DEFAULT_ORACLE_CEILING
+
+
+def inc(value):
+    return value + 1
+
+
+def entry(index, change):
+    """A fake of a list-valued function: entry ``index`` goes through ``change``."""
+
+    def make(real):
+        def fake(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[index] = change(out[index])
+            return out
+
+        return fake
+
+    return make
+
+
+def value_at(arg, change):
+    """A fake whose value at first argument ``arg`` goes through ``change``."""
+
+    def make(real):
+        def fake(first, *args, **kwargs):
+            out = real(first, *args, **kwargs)
+            return change(out) if first == arg else out
+
+        return fake
+
+    return make
+
+
+def game_tally(text, edit):
+    """A fake of ``games.game_tallies``: the tally of one game goes through ``edit``."""
+    moves = parse_game(text).moves
+
+    def make(real):
+        def fake(n, **kwargs):
+            for game, tally in real(n, **kwargs):
+                yield game, edit(list(tally)) if tuple(game) == moves else tally
+
+        return fake
+
+    return make
+
+
+def dip(up):
+    """The olive path of DyckPath((-1, 1)), lowest height -1, given ``up``
+    up-steps: with v = 2 of them, the dip alone is at fault."""
+
+    def edit(tally):
+        assert tally[0] + tally[1] == 2
+        return [*tally[:4], up, 0, -1]
+
+    return edit
+
+
+def merge_and_round_trip_too_many(real):
+    def fake(n, **kwargs):
+        for moves, (v_f, v_l, p_s, p_c, up, height, low) in real(n, **kwargs):
+            # one merge too many is an impossible tally, v + p = n + 1; one
+            # olive round trip too many at n = 2 makes the semilength v + 1
+            yield moves, [v_f, v_l, p_s, p_c + (p_c > 0), up + (n == 2), height, low]
+
+    return fake
+
+
+def refused(real):
+    def bound_table(counts):
+        raise PlatesOlivesError("count 1 at n=3 fell below the proven bound 15")
+
+    return bound_table
+
+
+# the first game of length 2 the oracle walks, and the first with a merge
+FIRST_OF_TWO = "P+ O+f O+l:1 O-:2 O-:1 P-s"
+FIRST_MERGE = "P+ O+f P+ O+f P-c:1,1 O-:2 O-:1 P-s"
+MERGE = MoveKind.PLATE_REMOVE_COMPLEX
+DISCREPANCY = "closed-walks-n4-recorded-discrepancy"
+RENEWAL = "closed-walks-renewal-consistency"
+FAULTS = {
+    "paper-m3-one-high": Fault(
+        "paper-values", counting, "count_games_through", entry(3, inc),
+        {"game-counts-0-4": "got (1, 2, 10, 77, 772)",
+         RENEWAL: "renewal over game counts gives (1, 3, 15, 108, 1017)"},
+    ),
+    "paper-m18-doubled": Fault(
+        "paper-values", counting, "count_games_through", entry(18, lambda m: 2 * m),
+        {"ratio-at-18": "r_18 = 1.1349295602"},
+    ),
+    "paper-closed-row-2-one-low": Fault(
+        "paper-values", counting, "count_closed_walks_through", entry(2, lambda c: c - 1),
+        {"closed-walks-2-3": "got (14, 107), quoted (15, 107)",
+         DISCREPANCY: "with merges 1015, without 945, quoted 981 matches neither",
+         RENEWAL: "renewal over game counts gives (1, 3, 15, 107, 1015)"},
+    ),
+    "paper-young-row-5-one-high": Fault(
+        "paper-values", counting, "count_young_walks_through", entry(5, inc),
+        {DISCREPANCY: "with merges 1015, without 946, quoted 981 matches neither"},
+    ),
+    "paper-tangent-one-high": Fault(
+        "paper-values", references, "tangent_numbers", value_at(4, inc),
+        {"tangent-numbers-0-4": "got (1, 2, 16, 272, 7937)"},
+    ),
+    # no real run can fail this check, but it reads the module attribute
+    "paper-geometric-one-low": Fault(
+        "paper-values", references, "GEOMETRIC_CLASS_COUNTS",
+        lambda real: real[:4] + ((4, 17745),),
+        {"geometric-class-table": "fixed reference table"},
+    ),
+    "paper-catalan-one-high": Fault(
+        "paper-values", references, "catalan", value_at(4, inc),
+        {"catalan-0-4": "got (1, 1, 2, 5, 15)"},
+    ),
+    "identities-brute-one-high-at-5": Fault(
+        "identities", references, "weighted_dyck_sum_by_enumeration", value_at(5, inc),
+        {"weighted-dyck-brute-vs-double-factorial": "v <= 12 by path enumeration",
+         "weighted-dyck-brute-vs-dp": "dual routes agree where both run"},
+    ),
+    # brute-vs-dp reads only v <= 12
+    "identities-dp-one-high-at-150": Fault(
+        "identities", references, "weighted_dyck_sum_by_dp_through", entry(150, inc),
+        {"weighted-dyck-dp-vs-double-factorial": "v <= 200 by dynamic program"},
+    ),
+    "identities-young-row-5-one-high": Fault(
+        "identities", counting, "count_young_walks_through", entry(5, inc),
+        {"young-walks-vs-double-factorial": "lengths 0..20"},
+    ),
+    "identities-proper-dyck-one-high": Fault(
+        "identities", references, "count_proper_dyck_paths", value_at(10, inc),
+        {"proper-dyck-vs-catalan": "n <= 10 by path generation"},
+    ),
+    "identities-zigzag-one-high": Fault(
+        "identities", references, "count_zigzag_permutations", value_at(8, inc),
+        {"zigzag-filter-vs-tangent": "permutation sizes 2, 4, 6, 8"},
+    ),
+    # no (2v - 1)!! reads an even m
+    "identities-double-factorial-one-high-at-30": Fault(
+        "identities", references, "double_factorial", value_at(30, inc),
+        {"double-factorial-recurrence": "m <= 35"},
+    ),
+    "oracle-m3-one-high": Fault(
+        "oracle", counting, "count_games_through", entry(3, inc),
+        {"enumeration-vs-dp-n3": "enumerated 76, counted 77"},
+    ),
+    # r_18 rises from 1.0921 past r_17 = 1.0946
+    "bounds-m18-doubled": Fault(
+        "bounds", counting, "count_games_through", entry(18, lambda m: 2 * m),
+        {"ratio-strictly-decreasing": "r_n decreasing for 1 <= n <= 18"},
+    ),
+    # one below M_4 = 772
+    "bounds-closed-row-4-below-m4": Fault(
+        "bounds", counting, "count_closed_walks_through", entry(4, lambda c: 771),
+        {"closed-dominates-first-return": "interim returns only add walks, n <= 8"},
+    ),
+    # one below 9!! = 945: r_5 falls below r_6, and the bound table refuses it
+    "bounds-m5-below-double-factorial": Fault(
+        "bounds", counting, "count_games_through", entry(5, lambda m: 944),
+        {"double-factorial-lower-bound": "M_n >= (2n-1)!! for n <= 18",
+         "ratio-strictly-decreasing": "r_n decreasing for 1 <= n <= 18",
+         "bound-table-builds": "count 944 at n=5 fell below the proven bound 945"},
+    ),
+    "bounds-bound-table-refuses": Fault(
+        "bounds", analysis, "bound_table", refused,
+        {"bound-table-builds": "count 1 at n=3 fell below the proven bound 15"},
+    ),
+    # one P-c at <3,3>, still within its cap
+    "claims-profile-one-merge-too-many": Fault(
+        "claims", partitions, "move_capacity_profile",
+        value_at(Partition((3, 3)), lambda p: {**p, MERGE: p[MERGE] + 1}),
+        {"profile-matches-legal-moves": "weight <= 20"}, ceiling=2,
+    ),
+    "claims-cap-one-short": Fault(
+        "claims", partitions, "w_cap", lambda real: lambda t: real(t) - 1,
+        {"distinct-part-sizes-capped": "weight <= 20", "move-capacity-caps": "weight <= 20"},
+        ceiling=2,
+    ),
+    # at <2,1> the second move keeps its kind but lands where the first does
+    "claims-two-moves-to-one-state": Fault(
+        "claims", partitions, "legal_moves",
+        value_at(Partition((2, 1)), lambda m: [m[0], (m[1][0], m[0][1]), *m[2:]]),
+        {"transition-graph-simple": "weight <= 20"}, ceiling=2,
+    ),
+    "claims-merge-and-round-trip-too-many": Fault(
+        "claims", games, "game_tallies", merge_and_round_trip_too_many,
+        {"per-game-move-tallies": f"stats violation in {FIRST_MERGE}",
+         "olive-dyck-projection": f"dyck semilength mismatch in {FIRST_OF_TWO}"},
+    ),
+    # v + p = n still holds, but p_c > v_f
+    "claims-more-merges-than-first-olives": Fault(
+        "claims", games, "game_tallies",
+        game_tally(FIRST_MERGE, lambda t: [0, t[0] + t[1], *t[2:]]),
+        {"per-game-move-tallies": f"stats violation in {FIRST_MERGE}"},
+    ),
+    "claims-dip-with-one-up-step": Fault(
+        "claims", games, "game_tallies", game_tally(FIRST_OF_TWO, dip(1)),
+        {"olive-dyck-projection": f"path dips below the axis in {FIRST_OF_TWO}"},
+    ),
+    "claims-dip-with-two-up-steps": Fault(
+        "claims", games, "game_tallies", game_tally(FIRST_OF_TWO, dip(2)),
+        {"olive-dyck-projection": f"path dips below the axis in {FIRST_OF_TWO}"},
+    ),
+    # an olive path that never dips but ends at height 2
+    "claims-ends-above-the-axis": Fault(
+        "claims", games, "game_tallies", game_tally(FIRST_OF_TWO, lambda t: [*t[:5], 2, 0]),
+        {"olive-dyck-projection": f"path does not end at height 0 in {FIRST_OF_TWO}"},
+    ),
+}
+
+
+@cache
+def verify_output(*argv):
+    """The stdout of a ``verify`` run with no fault, which must pass."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
         rc, out, _ = run(capsys, ["verify", "--suite", "paper-values"])
@@ -270,258 +506,31 @@ class TestVerifyCommand:
         assert (rc, out) == (1, "")
         assert err == "error: more than 10000000 distinct states; raise max_states to continue\n"
 
-    def test_wrong_count_fails_oracle(self, capsys, monkeypatch):
-        real = counting.count_games_through
+    @pytest.mark.parametrize("fault", list(FAULTS.values()), ids=list(FAULTS))
+    def test_fault_fails_named_checks(self, capsys, monkeypatch, fault):
+        argv = ["verify", "--suite", fault.suite, "--oracle-ceiling", str(fault.ceiling)]
+        # the clean output, with exactly the named checks turned to FAIL
+        expected = verify_output(*argv)
+        for name, detail in fault.fails.items():
+            passed = f"PASS [{fault.suite}] {name}\n"
+            assert passed in expected
+            expected = expected.replace(passed, f"FAIL [{fault.suite}] {name}: {detail}\n")
+        expected = expected.replace("OK: 0 failed", f"FAIL: {len(fault.fails)} failed")
+        real = getattr(fault.module, fault.attr)
+        monkeypatch.setattr(fault.module, fault.attr, fault.make(real))
+        assert run(capsys, argv) == (1, expected, "")
 
-        def off_by_one(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
-            counts = real(max_n, max_states=max_states)
-            counts[3] += 1
-            return counts
-
-        monkeypatch.setattr(counting, "count_games_through", off_by_one)
-        rc, out, _ = run(capsys, ["verify", "--suite", "oracle"])
-        assert rc == 1
-        assert "FAIL [oracle] enumeration-vs-dp-n3: enumerated 76, counted 77\n" in out
-        assert out.endswith("FAIL: 1 failed\n")
-
-    def test_each_claim_names_its_own_first_offender(self, capsys, monkeypatch):
-        real = games.game_tallies
-
-        def tallies(n, ceiling):
-            for moves, (v_f, v_l, p_s, p_c, up, height, low) in real(n, ceiling=ceiling):
-                if p_c:  # one merge too many is an impossible tally: v + p = n + 1
-                    p_c += 1
-                if n == 2:  # one olive round trip too many: semilength v + 1
-                    up += 1
-                yield moves, [v_f, v_l, p_s, p_c, up, height, low]
-
-        monkeypatch.setattr(games, "game_tallies", tallies)
-        first_merge = next(
-            g.text for n in range(7) for g in enumerate_games(n) if "P-c" in g.text
-        )
-        first_of_two = next(enumerate_games(2)).text
-        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
-        assert rc == 1
-        assert (
-            f"FAIL [claims] per-game-move-tallies: stats violation in {first_merge}\n"
-            in out
-        )
-        assert (
-            "FAIL [claims] olive-dyck-projection: dyck semilength mismatch in "
-            f"{first_of_two}\n" in out
-        )
-        assert out.endswith("FAIL: 2 failed\n")
-
-    def test_profile_off_by_one_fails_only_its_check(self, capsys, monkeypatch):
-        real = partitions.move_capacity_profile
-
-        def profile(state):
-            counts = real(state)
-            if state == Partition((3, 3)):  # one P-c, still within its cap
-                counts[MoveKind.PLATE_REMOVE_COMPLEX] += 1
-            return counts
-
-        monkeypatch.setattr(partitions, "move_capacity_profile", profile)
-        argv = ["verify", "--suite", "claims", "--oracle-ceiling", "2"]
-        rc, out, _ = run(capsys, argv)
-        assert rc == 1
-        assert out.splitlines() == [
-            "PASS [claims] distinct-part-sizes-capped",
-            "PASS [claims] move-capacity-caps",
-            "FAIL [claims] profile-matches-legal-moves: weight <= 20",
-            "PASS [claims] transition-graph-simple",
-            "PASS [claims] per-game-move-tallies",
-            "PASS [claims] olive-dyck-projection",
-            "FAIL: 1 failed",
-        ]
-
-    def test_more_merges_than_first_olives_fails_tallies(self, capsys, monkeypatch):
-        real = games.game_tallies
-        merged = []
-
-        def tallies(n, ceiling):
-            for moves, (v_f, v_l, p_s, p_c, up, height, low) in real(n, ceiling=ceiling):
-                if p_c and not merged:
-                    # v + p = n still holds, but p_c > v_f
-                    merged.append(moves)
-                    v_f, v_l = 0, v_f + v_l
-                yield moves, [v_f, v_l, p_s, p_c, up, height, low]
-
-        monkeypatch.setattr(games, "game_tallies", tallies)
-        first_merge = next(
-            g.text for n in range(7) for g in enumerate_games(n) if "P-c" in g.text
-        )
-        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
-        assert rc == 1
-        assert out.splitlines() == [
-            "PASS [claims] distinct-part-sizes-capped",
-            "PASS [claims] move-capacity-caps",
-            "PASS [claims] profile-matches-legal-moves",
-            "PASS [claims] transition-graph-simple",
-            f"FAIL [claims] per-game-move-tallies: stats violation in {first_merge}",
-            "PASS [claims] olive-dyck-projection",
-            "FAIL: 1 failed",
-        ]
-
-    def test_cap_one_short_fails_only_the_capped_checks(self, capsys, monkeypatch):
-        real = partitions.w_cap
-        monkeypatch.setattr(partitions, "w_cap", lambda t: real(t) - 1)
-        argv = ["verify", "--suite", "claims", "--oracle-ceiling", "2"]
-        rc, out, _ = run(capsys, argv)
-        assert rc == 1
-        assert out.splitlines() == [
-            "FAIL [claims] distinct-part-sizes-capped: weight <= 20",
-            "FAIL [claims] move-capacity-caps: weight <= 20",
-            "PASS [claims] profile-matches-legal-moves",
-            "PASS [claims] transition-graph-simple",
-            "PASS [claims] per-game-move-tallies",
-            "PASS [claims] olive-dyck-projection",
-            "FAIL: 2 failed",
-        ]
-
-    def test_two_moves_to_one_state_fail_only_simplicity(self, capsys, monkeypatch):
-        real = partitions.legal_moves
-
-        def legal_moves(state, allow_complex=True):
-            moves = real(state, allow_complex)
-            if state == Partition((2, 1)):
-                # the second move keeps its kind but lands where the first does
-                (first, nxt), (second, _), *rest = moves
-                moves = [(first, nxt), (second, nxt), *rest]
-            return moves
-
-        monkeypatch.setattr(partitions, "legal_moves", legal_moves)
-        argv = ["verify", "--suite", "claims", "--oracle-ceiling", "2"]
-        rc, out, _ = run(capsys, argv)
-        assert rc == 1
-        assert out.splitlines() == [
-            "PASS [claims] distinct-part-sizes-capped",
-            "PASS [claims] move-capacity-caps",
-            "PASS [claims] profile-matches-legal-moves",
-            "FAIL [claims] transition-graph-simple: weight <= 20",
-            "PASS [claims] per-game-move-tallies",
-            "PASS [claims] olive-dyck-projection",
-            "FAIL: 1 failed",
-        ]
-
-    def test_rising_ratio_fails_only_monotonicity(self, capsys, monkeypatch):
-        real = counting.count_games_through
-
-        def raised(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
-            counts = real(max_n, max_states=max_states)
-            counts[18] *= 2  # r_18 rises from 1.0921 past r_17 = 1.0946
-            return counts
-
-        monkeypatch.setattr(counting, "count_games_through", raised)
-        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
-        assert rc == 1
-        assert out.splitlines() == [
-            "PASS [bounds] double-factorial-lower-bound",
-            "FAIL [bounds] ratio-strictly-decreasing: r_n decreasing for 1 <= n <= 18",
-            "PASS [bounds] closed-dominates-first-return",
-            "PASS [bounds] bound-table-builds",
-            "FAIL: 1 failed",
-        ]
-
-    def test_closed_count_below_games_fails_only_dominance(self, capsys, monkeypatch):
-        real = counting.count_closed_walks_through
-
-        def lowered(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
-            closed = real(max_n, max_states=max_states)
-            closed[4] = 771  # one below M_4 = 772
-            return closed
-
-        monkeypatch.setattr(counting, "count_closed_walks_through", lowered)
-        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
-        assert rc == 1
-        assert out.splitlines() == [
-            "PASS [bounds] double-factorial-lower-bound",
-            "PASS [bounds] ratio-strictly-decreasing",
-            "FAIL [bounds] closed-dominates-first-return: "
-            "interim returns only add walks, n <= 8",
-            "PASS [bounds] bound-table-builds",
-            "FAIL: 1 failed",
-        ]
-
-    def test_count_below_double_factorial_fails_the_bound(self, capsys, monkeypatch):
-        real = counting.count_games_through
-
-        def lowered(max_n, max_states=counting.DEFAULT_STATE_LIMIT):
-            counts = real(max_n, max_states=max_states)
-            counts[5] = 944  # one below 9!! = 945
-            return counts
-
-        monkeypatch.setattr(counting, "count_games_through", lowered)
-        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
-        assert rc == 1
-        # r_5 falls below r_6, and the bound table refuses the count
-        assert out.splitlines() == [
-            "FAIL [bounds] double-factorial-lower-bound: M_n >= (2n-1)!! for n <= 18",
-            "FAIL [bounds] ratio-strictly-decreasing: r_n decreasing for 1 <= n <= 18",
-            "PASS [bounds] closed-dominates-first-return",
-            "FAIL [bounds] bound-table-builds: "
-            "count 944 at n=5 fell below the proven bound 945",
-            "FAIL: 3 failed",
-        ]
-
-    def test_bound_table_failure_is_reported(self, capsys, monkeypatch):
-        def below_bound(counts):
-            raise PlatesOlivesError("count 1 at n=3 fell below the proven bound 15")
-
-        monkeypatch.setattr(analysis, "bound_table", below_bound)
-        rc, out, _ = run(capsys, ["verify", "--suite", "bounds"])
-        assert rc == 1
-        assert (
-            "FAIL [bounds] bound-table-builds: "
-            "count 1 at n=3 fell below the proven bound 15\n" in out
-        )
-        assert out.endswith("FAIL: 1 failed\n")
-
-    def test_olive_projection_that_is_no_dyck_path_fails(self, capsys, monkeypatch):
-        real = games.game_tallies
-        first_of_two = next(enumerate_games(2))
-
-        # the olive path of DyckPath((-1, 1)), lowest height -1, with one
-        # up-step, then with v = 2 up-steps, so the dip alone is at fault
-        for up in (1, 2):
-
-            def tallies(n, ceiling, up=up):
-                for moves, tally in real(n, ceiling=ceiling):
-                    if n == 2 and tuple(moves) == first_of_two.moves:
-                        assert tally[0] + tally[1] == 2
-                        tally = [*tally[:4], up, 0, -1]
-                    yield moves, tally
-
-            monkeypatch.setattr(games, "game_tallies", tallies)
-            rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
-            assert rc == 1
-            assert (
-                "FAIL [claims] olive-dyck-projection: path dips below the axis in "
-                f"{first_of_two.text}\n" in out
-            )
-            assert "PASS [claims] per-game-move-tallies" in out
-            assert out.endswith("FAIL: 1 failed\n")
-
-    def test_olive_projection_that_ends_above_the_axis_fails(self, capsys, monkeypatch):
-        real = games.game_tallies
-        first_of_two = next(enumerate_games(2))
-
-        def tallies(n, ceiling):
-            for moves, tally in real(n, ceiling=ceiling):
-                if n == 2 and tuple(moves) == first_of_two.moves:
-                    # an olive path that never dips but ends at height 2
-                    tally = [*tally[:5], 2, 0]
-                yield moves, tally
-
-        monkeypatch.setattr(games, "game_tallies", tallies)
-        rc, out, _ = run(capsys, ["verify", "--suite", "claims"])
-        assert rc == 1
-        assert (
-            "FAIL [claims] olive-dyck-projection: path does not end at height 0 in "
-            f"{first_of_two.text}\n" in out
-        )
-        assert "PASS [claims] per-game-move-tallies" in out
-        assert out.endswith("FAIL: 1 failed\n")
+    def test_every_check_fails_in_some_row(self):
+        failed = {(fault.suite, name) for fault in FAULTS.values() for name in fault.fails}
+        checks = {
+            (suite, line.split("] ", 1)[1])
+            for suite in ("paper-values", "identities", "bounds", "claims")
+            for line in verify_output(
+                "verify", "--suite", suite, "--oracle-ceiling", str(games.DEFAULT_ORACLE_CEILING)
+            ).splitlines()[:-1]
+        }
+        assert checks - failed == set()
+        assert any(suite == "oracle" for suite, _ in failed)
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
