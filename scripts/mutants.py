@@ -40,8 +40,10 @@ PARTITIONS = "src/plates_olives/partitions.py"
 GAMES = "src/plates_olives/games.py"
 REFERENCES = "src/plates_olives/references.py"
 VERIFY = "src/plates_olives/verify.py"
-# one row of the verify fault table, by its id
+CLI = "src/plates_olives/cli.py"
+# one row of the verify fault table, or of the cache-case table, by its id
 FAULT_ROW = "tests/test_cli.py::TestVerifyCommand::test_fault_fails_named_checks[{}]"
+CACHE_ROW = "tests/test_cli.py::TestCache::test_cache_case[{}]"
 
 
 class Mutant(NamedTuple):
@@ -320,6 +322,80 @@ MUTANTS = (
         "identities-recurrence-always-pass",
         FAULT_ROW.format("identities-double-factorial-one-high-at-30"),
         ((VERIFY, "double_factorial(m) == m * double_factorial(m - 2)", "True"),),
+    ),
+    Mutant(
+        "claims-profile-always-matches",
+        FAULT_ROW.format("claims-profile-one-merge-too-many"),
+        (
+            (
+                VERIFY,
+                "kinds.count(kind) == n for kind, n in profile.items()",
+                "True for kind, n in profile.items()",
+            ),
+        ),
+    ),
+    Mutant(
+        "bounds-bound-table-always-builds",
+        FAULT_ROW.format("bounds-bound-table-refuses"),
+        (
+            (
+                VERIFY,
+                '_check(out, "bound-table-builds", False, str(exc))',
+                '_check(out, "bound-table-builds", True, str(exc))',
+            ),
+        ),
+    ),
+    Mutant(
+        "cache-keeps-unknown-value",
+        CACHE_ROW.format("first-return-3-is-0"),
+        ((CLI, "None if count == known[n] else", "None if True else"),),
+    ),
+    Mutant(
+        "cache-keeps-young-off-double-factorial",
+        CACHE_ROW.format("young-6-is-10396"),
+        ((CLI, 'return None if count == floor else f"{count} is not (2n-1)!!"', "return None"),),
+    ),
+    Mutant(
+        "cache-keeps-count-below-bound",
+        CACHE_ROW.format("first-return-6-is-10394"),
+        ((CLI, "if floor is None or count < floor:", "if False:"),),
+    ),
+    Mutant(
+        "cache-keeps-negative-n",
+        CACHE_ROW.format("first-return-minus-1-is-1"),
+        ((CLI, "if n < 0:", "if False:"),),
+    ),
+    # a JSON number reaches int(), where 1e400, read as inf, overflows
+    Mutant(
+        "cache-reads-json-numbers",
+        CACHE_ROW.format("count-is-json-1e400"),
+        ((CLI, "if isinstance(text, str):", "if True:"),),
+    ),
+    Mutant(
+        "cache-reads-any-version",
+        CACHE_ROW.format("version-mismatch"),
+        ((CLI, "if version != CACHE_VERSION:", "if False:"),),
+    ),
+    Mutant(
+        "self-check-only-on-full-hit",
+        CACHE_ROW.format("self-check-catches-corrupt-m6-on-partial-hit"),
+        (
+            (
+                CLI,
+                "if self_check and counts[: len(hits)] != hits:",
+                "if self_check and len(hits) == max_n + 1 and counts[: len(hits)] != hits:",
+            ),
+        ),
+    ),
+    Mutant(
+        "cache-drops-not-saved",
+        CACHE_ROW.format("young-1000000000-is-7"),
+        ((CLI, "self.save()", "pass"),),
+    ),
+    Mutant(
+        "self-check-served-from-full-hit",
+        CACHE_ROW.format("self-check-catches-corrupt-m6"),
+        ((CLI, "if len(hits) == max_n + 1 and not self_check:", "if len(hits) == max_n + 1:"),),
     ),
 )
 

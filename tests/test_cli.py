@@ -6,8 +6,10 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 import tracemalloc
-from functools import cache
+from functools import cache, reduce
+from pathlib import Path
 from types import ModuleType
 from typing import Callable, NamedTuple
 
@@ -548,15 +550,160 @@ class TestVerifyCommand:
         assert ran == []
 
 
+class CacheCase(NamedTuple):
+    """A row of TestCache's table.  The cache file starts absent, as the
+    raw ``text``, or as a cold run of ``fill`` writes it with each
+    "key/.../key" path of ``edit`` set to its value.  ``argv`` then runs
+    with ``--cache``, exits ``status`` and prints ``stdout`` (None: what a
+    cold run of ``argv`` prints) and ``stderr`` (``{cache}`` stands for the
+    path).  Afterwards the file holds what a cold run of ``fill``, or of
+    ``argv`` if there is none, writes when ``saved``, and exactly what it
+    held before otherwise."""
+
+    argv: str
+    status: int
+    stdout: str | None
+    stderr: str
+    saved: bool
+    fill: str | None = None
+    edit: dict[str, str] = {}
+    text: str | None = None
+
+
+def dropped(variant, n, value, reason):
+    """``count --max-n 6`` over a cold file whose row n is ``value``: the
+    cache drops it for ``reason`` and the count is as without a cache."""
+    argv = f"count --max-n 6 --variant {variant}"
+    warning = f"warning: cache drops {variant} n={n}: {reason}\n"
+    edit = {f"counts/{variant}/{n}": value}
+    return CacheCase(argv, 0, None, warning, True, fill=argv, edit=edit)
+
+
+def five_rows_and(value):
+    """A file with the right first-return rows 0..4 and the raw JSON
+    ``value`` as row 5."""
+    rows = ", ".join(f'"{n}": "{c}"' for n, c in enumerate((1, 2, 10, 76, 772)))
+    return f'{{"version": "1", "counts": {{"first-return": {{{rows}, "5": {value}}}}}}}'
+
+
+TABLE_0_2 = "n  count\n0      1\n1      2\n2     10\n"
+TABLE_0_3 = "n  count\n0      1\n1      2\n2     10\n3     76\n"
+M6_CORRUPT = {"counts/first-return/6": "999999"}
+SELF_CHECK_FAILED = (
+    "error: cache self-check failed for first-return: "
+    "cached [1, 2, 10, 76, 772, 9856, 999999] != recomputed [1, 2, 10, 76, 772, 9856, 152099]\n"
+)
+MALFORMED = "warning: cache {cache} ignored: malformed counts table\n"
+CACHE_CASES = {
+    "warm-hit-prints-the-cold-table": CacheCase(
+        "count --max-n 6", 0, None, "", True, fill="count --max-n 6"
+    ),
+    "self-check-passes-on-honest-cache": CacheCase(
+        "count --max-n 4 --self-check", 0, GOLDEN_COUNT_TABLE, "", True, fill="count --max-n 4"
+    ),
+    # M_6 = 152099; a wrong value above (2n-1)!! = 10395 contradicts no
+    # known count, so only --self-check can catch it
+    "self-check-catches-corrupt-m6": CacheCase(
+        "count --max-n 6 --self-check", 1, "", SELF_CHECK_FAILED, False,
+        fill="count --max-n 6", edit=M6_CORRUPT,
+    ),
+    # rows 0..6 are cached and 7 is not, so the counts are recomputed
+    # anyway; the cached prefix must be compared, not overwritten
+    "self-check-catches-corrupt-m6-on-partial-hit": CacheCase(
+        "count --max-n 7 --self-check", 1, "", SELF_CHECK_FAILED, False,
+        fill="count --max-n 6", edit=M6_CORRUPT,
+    ),
+    # by design the cache is trusted unless --self-check is passed
+    "corrupt-m6-served-without-self-check": CacheCase(
+        "count --max-n 6", 0,
+        "n   count\n0       1\n1       2\n2      10\n3      76\n4     772\n5    9856\n6  999999\n",
+        "", False, fill="count --max-n 6", edit=M6_CORRUPT,
+    ),
+    "first-return-3-is-0": CacheCase(
+        "count --max-n 3", 0, TABLE_0_3,
+        "warning: cache drops first-return n=3: 0 is not the known value 76\n", True,
+        fill="count --max-n 3", edit={"counts/first-return/3": "0"},
+    ),
+    "first-return-6-is-10394": dropped(
+        "first-return", "6", "10394", "10394 is below the proven bound (2n-1)!!"
+    ),
+    "first-return-minus-1-is-1": dropped("first-return", "-1", "1", "n is negative"),
+    "closed-4-is-981": dropped("closed", "4", "981", "981 is not the known value 1015"),
+    "closed-6-is-minus-5": dropped("closed", "6", "-5", "-5 is below the proven bound (2n-1)!!"),
+    "young-6-is-10396": dropped("young", "6", "10396", "10396 is not (2n-1)!!"),
+    # the bound stops multiplying once it passes the count; the row lies
+    # outside the requested range, so only the drop itself can rewrite the file
+    "young-1000000000-is-7": dropped("young", "1000000000", "7", "7 is not (2n-1)!!"),
+    **{
+        f"{command}-empty-table": CacheCase(
+            f"{command} --max-n 0", 1, "", "error: max_n must be at least 1\n", False
+        )
+        for command in ("ratio", "bounds")
+    },
+    "version-mismatch": CacheCase(
+        "count --max-n 3", 0, TABLE_0_3,
+        "warning: cache {cache} ignored: version '0' is not '1'\n", True,
+        fill="count --max-n 3", edit={"version": "0", "counts/first-return/3": "999"},
+    ),
+    "garbage-file": CacheCase(
+        "count --max-n 2", 0, TABLE_0_2, "warning: cache {cache} ignored: not valid JSON\n", True,
+        text="not json at all",
+    ),
+    "malformed-table": CacheCase(
+        "count --max-n 2", 0, TABLE_0_2, MALFORMED, True,
+        text=json.dumps({"version": "1", "counts": {"first-return": ["10"]}}),
+    ),
+    "missing-file": CacheCase("count --max-n 4", 0, GOLDEN_COUNT_TABLE, "", True),
+    # save() writes every key and count as a decimal string; a JSON
+    # number is never one, even where int() would take it
+    **{
+        f"count-is-json-{value}": CacheCase(
+            "count --max-n 5", 0, GOLDEN_COUNT_TABLE + "5   9856\n", MALFORMED, True,
+            text=five_rows_and(value),
+        )
+        for value in ("1e400", "9856.9", "true")
+    },
+}
+
+
+@cache
+def cold_run(argv):
+    """The stdout of ``argv`` run with a cache file that does not exist
+    yet, and the bytes that run leaves in the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "counts.json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([*argv.split(), "--cache", str(path)]) == 0
+        assert err.getvalue() == ""
+        return out.getvalue(), path.read_bytes()
+
+
 class TestCache:
-    def test_cold_then_warm_identical(self, capsys, tmp_path):
+    @pytest.mark.parametrize("case", list(CACHE_CASES.values()), ids=list(CACHE_CASES))
+    def test_cache_case(self, capsys, tmp_path, case):
         cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "6", "--cache", str(cache)]
-        rc1, cold, _ = run(capsys, argv)
-        assert rc1 == 0 and cache.exists()
-        rc2, warm, _ = run(capsys, argv)
-        assert rc2 == 0
-        assert warm == cold
+        if case.fill:
+            cache.write_bytes(cold_run(case.fill)[1])
+        if case.edit:
+            data = json.loads(cache.read_text())
+            for path, value in case.edit.items():
+                *keys, last = path.split("/")
+                reduce(dict.__getitem__, keys, data)[last] = value
+            cache.write_text(json.dumps(data))
+        if case.text:
+            cache.write_text(case.text)
+        before = cache.read_bytes() if cache.exists() else None
+        argv = [*case.argv.split(), "--cache", str(cache)]
+        stdout = cold_run(case.argv)[0] if case.stdout is None else case.stdout
+        assert run(capsys, argv) == (case.status, stdout, case.stderr.format(cache=cache))
+        if not case.saved:
+            assert (cache.read_bytes() if cache.exists() else None) == before
+            return
+        assert cache.read_bytes() == cold_run(case.fill or case.argv)[1]
+        if case.status == 0:
+            # the file now serves the same table with nothing to warn about
+            assert run(capsys, argv) == (0, stdout, "")
 
     def test_variants_share_one_file(self, capsys, tmp_path):
         cache = tmp_path / "counts.json"
@@ -565,94 +712,6 @@ class TestCache:
         data = json.loads(cache.read_text())
         assert set(data["counts"]) == {"first-return", "closed"}
         assert data["counts"]["closed"]["3"] == "107"
-
-    def test_self_check_passes_on_honest_cache(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "4", "--cache", str(cache)]
-        run(capsys, argv)
-        rc, out, _ = run(capsys, argv + ["--self-check"])
-        assert rc == 0
-        assert out == GOLDEN_COUNT_TABLE
-
-    # M_6 = 152099; a wrong value above (2n-1)!! = 10395 contradicts no
-    # known count, so only --self-check can catch it
-    def test_self_check_catches_corruption(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "6", "--cache", str(cache)]
-        run(capsys, argv)
-        data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["6"] = "999999"
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, argv + ["--self-check"])
-        assert rc == 1
-        assert out == ""
-        assert "self-check failed" in err
-
-    def test_self_check_catches_corruption_on_partial_hit(self, capsys, tmp_path):
-        # rows 0..6 are cached and 7 is not, so the counts are recomputed
-        # anyway; the cached prefix must be compared, not overwritten
-        cache = tmp_path / "counts.json"
-        run(capsys, ["count", "--max-n", "6", "--cache", str(cache)])
-        data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["6"] = "999999"
-        cache.write_text(json.dumps(data))
-        corrupted = cache.read_bytes()
-        argv = ["count", "--max-n", "7", "--self-check", "--cache", str(cache)]
-        rc, out, err = run(capsys, argv)
-        assert rc == 1
-        assert out == ""
-        assert "self-check failed" in err and "999999" in err
-        assert cache.read_bytes() == corrupted
-
-    def test_corruption_without_self_check_is_served(self, capsys, tmp_path):
-        # by design the cache is trusted unless --self-check is passed
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "6", "--cache", str(cache)]
-        run(capsys, argv)
-        data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["6"] = "999999"
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, argv)
-        assert rc == 0
-        assert out.splitlines()[-1] == "6  999999"
-        assert err == ""
-
-    def test_impossible_cached_count_is_dropped_and_recomputed(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "3", "--cache", str(cache)]
-        run(capsys, argv)
-        data = json.loads(cache.read_text())
-        data["counts"]["first-return"]["3"] = "0"
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, argv)
-        assert rc == 0
-        assert out == "n  count\n0      1\n1      2\n2     10\n3     76\n"
-        assert err == "warning: cache drops first-return n=3: 0 is not the known value 76\n"
-        assert json.loads(cache.read_text())["counts"]["first-return"]["3"] == "76"
-
-    @pytest.mark.parametrize(
-        "variant, n, value, reason",
-        [
-            ("first-return", "6", "10394", "10394 is below the proven bound (2n-1)!!"),
-            ("first-return", "-1", "1", "n is negative"),
-            ("closed", "4", "981", "981 is not the known value 1015"),
-            ("closed", "6", "-5", "-5 is below the proven bound (2n-1)!!"),
-            ("young", "6", "10396", "10396 is not (2n-1)!!"),
-            # the bound stops multiplying once it passes the count
-            ("young", "1000000000", "7", "7 is not (2n-1)!!"),
-        ],
-    )
-    def test_each_contradiction_is_named(self, capsys, tmp_path, variant, n, value, reason):
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "6", "--variant", variant, "--cache", str(cache)]
-        _, fresh, _ = run(capsys, argv)
-        data = json.loads(cache.read_text())
-        data["counts"][variant][n] = value
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, argv)
-        assert rc == 0
-        assert out == fresh
-        assert err == f"warning: cache drops {variant} n={n}: {reason}\n"
 
     # a cached count can no longer be impossible, so the guards in
     # analysis are reached through a faulty kernel
@@ -669,31 +728,6 @@ class TestCache:
         assert rc == 1
         assert out == ""
         assert err == "error: count must be positive\n"
-
-    @pytest.mark.parametrize("command", ["ratio", "bounds"])
-    def test_empty_table_rejected_before_counting(self, capsys, tmp_path, command):
-        cache = tmp_path / "counts.json"
-        rc, out, err = run(capsys, [command, "--max-n", "0", "--cache", str(cache)])
-        assert rc == 1
-        assert out == ""
-        assert err == "error: max_n must be at least 1\n"
-        assert not cache.exists()
-
-    def test_dropped_row_is_removed_from_file(self, capsys, tmp_path):
-        # the bad row lies outside the requested range, so only the drop
-        # itself can rewrite the file
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "6", "--variant", "young", "--cache", str(cache)]
-        _, fresh, _ = run(capsys, argv)
-        data = json.loads(cache.read_text())
-        data["counts"]["young"]["1000000000"] = "7"
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, argv)
-        assert (rc, out) == (0, fresh)
-        assert err == "warning: cache drops young n=1000000000: 7 is not (2n-1)!!\n"
-        rc, out, err = run(capsys, argv)
-        assert (rc, out, err) == (0, fresh, "")
-        assert "1000000000" not in json.loads(cache.read_text())["counts"]["young"]
 
     def test_drops_in_every_variant_rewrite_the_file_once(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "counts.json"
@@ -717,44 +751,6 @@ class TestCache:
         assert loaded.counts == {"first-return": {}, "closed": {}, "young": {}}
         assert json.loads(cache.read_text()) == {"version": "1", "counts": {}}
 
-    def test_version_mismatch_invalidates(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        argv = ["count", "--max-n", "3", "--cache", str(cache)]
-        run(capsys, argv)
-        data = json.loads(cache.read_text())
-        data["version"] = "0"
-        data["counts"]["first-return"]["3"] = "999"
-        cache.write_text(json.dumps(data))
-        rc, out, err = run(capsys, argv)
-        assert rc == 0
-        assert out == "n  count\n0      1\n1      2\n2     10\n3     76\n"
-        assert err == f"warning: cache {cache} ignored: version '0' is not '1'\n"
-        assert json.loads(cache.read_text())["version"] == "1"
-
-    def test_garbage_file_invalidates(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        cache.write_text("not json at all")
-        rc, out, err = run(capsys, ["count", "--max-n", "2", "--cache", str(cache)])
-        assert rc == 0
-        assert out.splitlines()[-1] == "2     10"
-        assert err == f"warning: cache {cache} ignored: not valid JSON\n"
-        assert json.loads(cache.read_text())["counts"]["first-return"]["2"] == "10"
-
-    def test_malformed_table_invalidates(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        cache.write_text(json.dumps({"version": "1", "counts": {"first-return": ["10"]}}))
-        rc, out, err = run(capsys, ["count", "--max-n", "2", "--cache", str(cache)])
-        assert rc == 0
-        assert out.splitlines()[-1] == "2     10"
-        assert err == f"warning: cache {cache} ignored: malformed counts table\n"
-        assert json.loads(cache.read_text())["counts"]["first-return"]["2"] == "10"
-
-    def test_missing_file_is_silent(self, capsys, tmp_path):
-        cache = tmp_path / "counts.json"
-        rc, out, err = run(capsys, ["count", "--max-n", "4", "--cache", str(cache)])
-        assert (rc, out, err) == (0, GOLDEN_COUNT_TABLE, "")
-        assert cache.exists()
-
     def test_directory_path_is_not_saved(self, capsys, tmp_path):
         # an unwritable directory cannot be tested this way as root, who
         # may write anywhere; a directory fails the final replace for anyone
@@ -768,20 +764,6 @@ class TestCache:
         ]
         assert list(tmp_path.iterdir()) == [cache]
         assert cache.is_dir() and not any(cache.iterdir())
-
-    # save() writes every key and count as a decimal string; a JSON
-    # number is never one, even where int() would take it
-    @pytest.mark.parametrize("value", ["1e400", "9856.9", "true"])
-    def test_count_that_is_not_a_decimal_string_invalidates(self, capsys, tmp_path, value):
-        cache = tmp_path / "counts.json"
-        rows = ", ".join(f'"{n}": "{c}"' for n, c in enumerate((1, 2, 10, 76, 772)))
-        cache.write_text(
-            f'{{"version": "1", "counts": {{"first-return": {{{rows}, "5": {value}}}}}}}'
-        )
-        rc, out, err = run(capsys, ["count", "--max-n", "5", "--cache", str(cache)])
-        assert (rc, out) == (0, GOLDEN_COUNT_TABLE + "5   9856\n")
-        assert err == f"warning: cache {cache} ignored: malformed counts table\n"
-        assert json.loads(cache.read_text())["counts"]["first-return"]["5"] == "9856"
 
     # rows 0..3 of every variant are cached, so a hit could serve these;
     # the counter's own error must come out as it does without a cache,
