@@ -729,6 +729,22 @@ class TestCache:
         assert out == ""
         assert err == "error: count must be positive\n"
 
+    def test_dropped_row_is_removed_from_file(self, capsys, tmp_path):
+        # the bad row lies outside the requested range, so only the drop
+        # itself can rewrite the file
+        cache = tmp_path / "counts.json"
+        argv = ["count", "--max-n", "6", "--variant", "young", "--cache", str(cache)]
+        _, fresh, _ = run(capsys, argv)
+        data = json.loads(cache.read_text())
+        data["counts"]["young"]["1000000000"] = "7"
+        cache.write_text(json.dumps(data))
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (0, fresh)
+        assert err == "warning: cache drops young n=1000000000: 7 is not (2n-1)!!\n"
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (0, fresh, "")
+        assert "1000000000" not in json.loads(cache.read_text())["counts"]["young"]
+
     def test_drops_in_every_variant_rewrite_the_file_once(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "counts.json"
         bad = {"first-return": {"3": "0"}, "closed": {"4": "981"}, "young": {"2": "4"}}
